@@ -47,7 +47,8 @@ struct VminBundle {
   std::vector<std::size_t> dataset_columns;
   /// Fit-time feature selection: indices into `dataset_columns`.
   std::vector<std::size_t> selected_features;
-  /// Optional serve-side pre-transform over the selected columns. All current
+  /// Optional serve-side pre-transform: one mean/scale per dataset column,
+  /// applied to the selected columns before the model sees them. All current
   /// models standardize internally, so this is typically absent.
   bool has_input_scaler = false;
   data::ScalerParams input_scaler;

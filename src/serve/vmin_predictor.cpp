@@ -1,6 +1,8 @@
 #include "serve/vmin_predictor.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -33,10 +35,30 @@ VminPredictor::VminPredictor(artifact::VminBundle bundle)
           "VminPredictor: selected feature index out of range");
     }
   }
-  if (bundle_.has_input_scaler &&
-      bundle_.input_scaler.means.size() != bundle_.dataset_columns.size()) {
+  if (!bundle_.has_input_scaler) return;
+  // Gather plan: the scaler moments of each selected column, in selection
+  // order, so predict_batch scales only the columns it reads. A bad scaler
+  // is rejected here, at load, rather than inside every predict_batch.
+  const data::ScalerParams& scaler = bundle_.input_scaler;
+  const std::size_t width = bundle_.dataset_columns.size();
+  if (scaler.means.size() != width || scaler.scales.size() != width) {
     throw std::invalid_argument(
         "VminPredictor: input scaler width does not match dataset columns");
+  }
+  for (std::size_t c = 0; c < width; ++c) {
+    if (!std::isfinite(scaler.means[c]) || !(scaler.scales[c] > 0.0) ||
+        !std::isfinite(scaler.scales[c])) {
+      throw std::invalid_argument("VminPredictor: input scaler column " +
+                                  std::to_string(c) +
+                                  " has a non-finite mean or a scale that "
+                                  "is not positive and finite");
+    }
+  }
+  gather_means_.reserve(bundle_.selected_features.size());
+  gather_scales_.reserve(bundle_.selected_features.size());
+  for (const std::size_t selected : bundle_.selected_features) {
+    gather_means_.push_back(scaler.means[selected]);
+    gather_scales_.push_back(scaler.scales[selected]);
   }
 }
 
@@ -49,9 +71,10 @@ VminPredictor VminPredictor::from_bytes(
   return VminPredictor(artifact::decode_bundle(bytes));
 }
 
-// The per-shard row_block slab is the sanctioned allocation: each shard
-// hands its model a contiguous sub-batch so the predictor sees one
-// cache-friendly matrix per dispatch (hotpath_tiers.toml).
+// The per-shard gathered design is the sanctioned allocation: each shard
+// reads only the selected columns of its own rows from the caller's batch
+// and hands its model one contiguous rows x n_selected matrix
+// (hotpath_tiers.toml).
 // vmincqr: hot-path(allow-alloc)
 std::vector<IntervalPrediction> VminPredictor::predict_batch(
     const Matrix& x) const {
@@ -63,32 +86,6 @@ std::vector<IntervalPrediction> VminPredictor::predict_batch(
         std::to_string(bundle_.dataset_columns.size()));
   }
 
-  // Identity fast path: no scaler and selected == all columns in order
-  // means the caller's batch IS the design matrix — skip both the defensive
-  // copy and the take_cols gather (together they cost as much as a model
-  // predict on a large batch).
-  bool identity = !bundle_.has_input_scaler &&
-                  bundle_.selected_features.size() == x.cols();
-  if (identity) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      if (bundle_.selected_features[c] != c) {
-        identity = false;
-        break;
-      }
-    }
-  }
-  Matrix scratch;
-  if (!identity) {
-    scratch = x;  // local copy: scaling must not mutate the caller's batch
-    if (bundle_.has_input_scaler) {
-      data::StandardScaler scaler;
-      scaler.import_params(bundle_.input_scaler);
-      scratch = scaler.transform(scratch);
-    }
-    scratch = scratch.take_cols(bundle_.selected_features);
-  }
-  const Matrix& design = identity ? x : scratch;
-
   // Row-sharded inference: every supported interval method computes each
   // test row independently (conformal quantiles are additive constants
   // fixed at calibration time), so per-shard predict_interval calls
@@ -96,12 +93,32 @@ std::vector<IntervalPrediction> VminPredictor::predict_batch(
   // The shard grain matches the tree-traversal row block (256): smaller
   // shards would re-stream the flattened node planes once per shard, and
   // the grain is a pure function of the batch shape, never thread count.
+  //
+  // Each shard gathers its own design straight from the caller's batch:
+  // only the selected columns are read, and only those are scaled. Scaling
+  // is elementwise per column, so this is bit-identical to scaling the
+  // whole batch and then selecting.
+  const std::vector<std::size_t>& cols = bundle_.selected_features;
+  const std::size_t n_sel = cols.size();
+  const bool scaled = bundle_.has_input_scaler;
   std::vector<IntervalPrediction> out(x.rows());
   parallel::parallel_for(
       x.rows(), /*grain=*/kServeShardRows,
       [&](std::size_t begin, std::size_t end) {
+        Matrix design(end - begin, n_sel);
+        for (std::size_t i = begin; i < end; ++i) {
+          const double* src = x.row_ptr(i);
+          double* dst = design.row_ptr(i - begin);
+          if (scaled) {
+            for (std::size_t j = 0; j < n_sel; ++j) {
+              dst[j] = (src[cols[j]] - gather_means_[j]) / gather_scales_[j];
+            }
+          } else {
+            for (std::size_t j = 0; j < n_sel; ++j) dst[j] = src[cols[j]];
+          }
+        }
         const models::IntervalPrediction band =
-            bundle_.predictor->predict_interval(design.row_block(begin, end));
+            bundle_.predictor->predict_interval(design);
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = {band.lower[i - begin], band.upper[i - begin]};
         }

@@ -39,8 +39,10 @@ struct PredictorInfo {
 
 class VminPredictor {
  public:
-  /// Adopts a decoded bundle. Throws std::invalid_argument on a null
-  /// predictor or out-of-range selected features.
+  /// Adopts a decoded bundle and builds its gather plan. Throws
+  /// std::invalid_argument on a null predictor, out-of-range selected
+  /// features, or an input scaler whose width differs from the dataset
+  /// columns or that has a non-finite mean or a non-positive scale.
   explicit VminPredictor(artifact::VminBundle bundle);
 
   /// Loads a .vqa artifact file / raw VQAF bytes. Throws
@@ -71,6 +73,10 @@ class VminPredictor {
 
  private:
   artifact::VminBundle bundle_;
+  /// Gather plan: the input scaler's mean and scale for each selected
+  /// column, in selection order (empty when the bundle has no scaler).
+  std::vector<double> gather_means_;
+  std::vector<double> gather_scales_;
 };
 
 }  // namespace vmincqr::serve

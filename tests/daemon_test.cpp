@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -203,6 +204,35 @@ TEST(DaemonSwap, CorruptInstallThrowsAndLeavesActiveEpochServing) {
   d.stop();
   // The failed installs must not have registered anywhere.
   EXPECT_EQ(d.stats().installs, 1u);
+}
+
+TEST(DaemonSwap, BadInputScalerInstallThrowsAndLeavesActiveEpochServing) {
+  const auto bytes_a = bundle_a_bytes();
+  const auto reference = reference_for(bytes_a);
+
+  daemon::VminDaemon d;
+  (void)d.install_bytes("A", bytes_a);
+  d.start();
+
+  // A well-formed artifact whose input scaler has a zero scale: the loader
+  // rejects it, so it never becomes an epoch that fails every request.
+  auto bundle = artifact::decode_bundle(bundle_b_bytes());
+  bundle.has_input_scaler = true;
+  bundle.input_scaler.means.assign(kWidth, 0.0);
+  bundle.input_scaler.scales = {1.0, 0.0, 1.0, 1.0};
+  const auto bad_bytes = artifact::encode_bundle(bundle);
+  EXPECT_THROW((void)d.install_bytes("B", bad_bytes), std::invalid_argument);
+  EXPECT_EQ(d.active_epoch(), 1u);
+  EXPECT_THROW((void)d.activate("B"), std::invalid_argument);
+
+  const auto response = d.ask({query_row(3)});
+  ASSERT_EQ(response.status, daemon::ServeStatus::kOk);
+  EXPECT_EQ(response.epoch, 1u);
+  EXPECT_EQ(response.interval.lower, reference[3].lower);
+  EXPECT_EQ(response.interval.upper, reference[3].upper);
+  d.stop();
+  EXPECT_EQ(d.stats().installs, 1u);
+  EXPECT_EQ(d.stats().served_internal_error, 0u);
 }
 
 // --- LRU bundle cache -------------------------------------------------------

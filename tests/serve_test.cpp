@@ -3,6 +3,8 @@
 // inputs at the tester.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -13,6 +15,8 @@
 #include "core/pipeline.hpp"
 #include "data/scaler.hpp"
 #include "models/factory.hpp"
+#include "models/interval.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/vmin_predictor.hpp"
 #include "silicon/dataset_gen.hpp"
 
@@ -53,6 +57,34 @@ Fitted fit_and_encode() {
 const Fitted& fixture() {
   static const Fitted fitted = fit_and_encode();
   return fitted;
+}
+
+/// Restores env/hardware thread resolution when a test overrides it.
+struct ThreadOverrideGuard {
+  ~ThreadOverrideGuard() { parallel::set_max_threads(0); }
+};
+
+/// A lot of `n` chips over the fixture's dataset columns: its rows tiled,
+/// each tile shifted by a distinct exact offset so no two rows repeat.
+linalg::Matrix lot_rows(std::size_t n) {
+  const linalg::Matrix& base = fixture().reference_design;
+  linalg::Matrix x(n, base.cols());
+  for (std::size_t r = 0; r < n; ++r) {
+    const double shift = 0.001953125 * static_cast<double>(r / base.rows());
+    for (std::size_t c = 0; c < base.cols(); ++c) {
+      x(r, c) = base(r % base.rows(), c) + shift;
+    }
+  }
+  return x;
+}
+
+void expect_bits_equal(const std::vector<serve::IntervalPrediction>& served,
+                       const models::IntervalPrediction& expected) {
+  ASSERT_EQ(served.size(), expected.lower.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].lower, expected.lower[i]) << "chip " << i;
+    EXPECT_EQ(served[i].upper, expected.upper[i]) << "chip " << i;
+  }
 }
 
 TEST(ServePredictor, ReproducesFitTimeIntervalsBitExact) {
@@ -133,11 +165,16 @@ TEST(ServePredictor, AppliesSavedInputScaler) {
   // Graft a nontrivial scaler onto the decoded bundle, then verify the serve
   // path applies exactly the same transform as a StandardScaler restored from
   // the same params: scaled.predict(x) == unscaled.predict(transform(x)).
+  // Every column gets its own mean and scale, so a gather that paired a
+  // selected column with the wrong column's moments would show, and the lot
+  // spans several shards.
   auto bundle = artifact::decode_bundle(f.bytes);
   const std::size_t width = bundle.dataset_columns.size();
   data::ScalerParams params;
-  params.means.assign(width, 0.25);
-  params.scales.assign(width, 1.5);
+  for (std::size_t c = 0; c < width; ++c) {
+    params.means.push_back(0.25 + 0.125 * static_cast<double>(c));
+    params.scales.push_back(1.5 + 0.0625 * static_cast<double>(c % 7));
+  }
   bundle.has_input_scaler = true;
   bundle.input_scaler = params;
   const serve::VminPredictor scaled(std::move(bundle));
@@ -145,14 +182,114 @@ TEST(ServePredictor, AppliesSavedInputScaler) {
   data::StandardScaler reference_scaler;
   reference_scaler.import_params(params);
   const auto unscaled = serve::VminPredictor::from_bytes(f.bytes);
-  const auto expected =
-      unscaled.predict_batch(reference_scaler.transform(f.reference_design));
-  const auto served = scaled.predict_batch(f.reference_design);
+  const linalg::Matrix x = lot_rows(600);
+  const auto expected = unscaled.predict_batch(reference_scaler.transform(x));
+  const auto served = scaled.predict_batch(x);
   ASSERT_EQ(served.size(), expected.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
     EXPECT_EQ(served[i].lower, expected[i].lower) << "chip " << i;
     EXPECT_EQ(served[i].upper, expected[i].upper) << "chip " << i;
   }
+}
+
+TEST(ServePredictor, RejectsMalformedInputScalerAtLoad) {
+  const Fitted& f = fixture();
+  const std::size_t width =
+      artifact::decode_bundle(f.bytes).dataset_columns.size();
+  const auto with_scaler = [&f](data::ScalerParams params) {
+    auto bundle = artifact::decode_bundle(f.bytes);
+    bundle.has_input_scaler = true;
+    bundle.input_scaler = std::move(params);
+    return bundle;
+  };
+  data::ScalerParams good;
+  good.means.assign(width, 0.5);
+  good.scales.assign(width, 2.0);
+  EXPECT_NO_THROW(serve::VminPredictor accepted(with_scaler(good)));
+
+  // The whole scaler is checked, not just the selected columns.
+  std::vector<std::pair<const char*, data::ScalerParams>> bad;
+  bad.emplace_back("zero scale", good);
+  bad.back().second.scales[width / 2] = 0.0;
+  bad.emplace_back("negative scale", good);
+  bad.back().second.scales[0] = -1.5;
+  bad.emplace_back("NaN scale", good);
+  bad.back().second.scales[width - 1] =
+      std::numeric_limits<double>::quiet_NaN();
+  bad.emplace_back("infinite scale", good);
+  bad.back().second.scales[1] = std::numeric_limits<double>::infinity();
+  bad.emplace_back("NaN mean", good);
+  bad.back().second.means[2] = std::numeric_limits<double>::quiet_NaN();
+  bad.emplace_back("short scales", good);
+  bad.back().second.scales.pop_back();
+  bad.emplace_back("short means and scales", good);
+  bad.back().second.means.pop_back();
+  bad.back().second.scales.pop_back();
+  for (const auto& [what, params] : bad) {
+    EXPECT_THROW(serve::VminPredictor rejected(with_scaler(params)),
+                 std::invalid_argument)
+        << what;
+    // The codec carries the scaler verbatim; loading the bytes must fail.
+    const auto bytes = artifact::encode_bundle(with_scaler(params));
+    EXPECT_THROW((void)serve::VminPredictor::from_bytes(bytes),
+                 std::invalid_argument)
+        << what;
+  }
+}
+
+TEST(ServePredictor, ServesRaggedMultiShardBatchThroughPermutedSubset) {
+  const Fitted& f = fixture();
+  auto bundle = artifact::decode_bundle(f.bytes);
+  const std::size_t width = bundle.dataset_columns.size();
+  // Mirror the dataset columns and the selection with them: the model still
+  // sees its own features, but through a strict subset of the columns in
+  // non-sorted order.
+  std::vector<std::size_t> selected;
+  for (const std::size_t s : bundle.selected_features) {
+    selected.push_back(width - 1 - s);
+  }
+  ASSERT_LT(selected.size(), width);
+  ASSERT_FALSE(std::is_sorted(selected.begin(), selected.end()));
+  bundle.selected_features = selected;
+  const serve::VminPredictor predictor(std::move(bundle));
+
+  // 1,000 rows: three full 256-row shards and a ragged 232-row one.
+  const linalg::Matrix lot = lot_rows(1000);
+  linalg::Matrix x(lot.rows(), width);
+  for (std::size_t r = 0; r < lot.rows(); ++r) {
+    for (std::size_t c = 0; c < width; ++c) x(r, c) = lot(r, width - 1 - c);
+  }
+  const auto expected =
+      predictor.bundle().predictor->predict_interval(x.take_cols(selected));
+
+  const ThreadOverrideGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE(threads == 1 ? "one thread" : "full width");
+    parallel::set_max_threads(threads);
+    expect_bits_equal(predictor.predict_batch(x), expected);
+  }
+}
+
+TEST(ServePredictor, IdentityBundleServesCallerBatchBitExact) {
+  const Fitted& f = fixture();
+  // A bundle whose dataset columns are exactly the model's features: every
+  // column selected in order, no scaler.
+  auto bundle = artifact::decode_bundle(f.bytes);
+  const std::vector<std::size_t> fit_selection = bundle.selected_features;
+  std::vector<std::size_t> columns;
+  std::vector<std::size_t> all;
+  for (std::size_t j = 0; j < fit_selection.size(); ++j) {
+    columns.push_back(bundle.dataset_columns[fit_selection[j]]);
+    all.push_back(j);
+  }
+  bundle.dataset_columns = columns;
+  bundle.selected_features = all;
+  ASSERT_FALSE(bundle.has_input_scaler);
+  const serve::VminPredictor predictor(std::move(bundle));
+
+  const linalg::Matrix x = lot_rows(600).take_cols(fit_selection);
+  expect_bits_equal(predictor.predict_batch(x),
+                    predictor.bundle().predictor->predict_interval(x));
 }
 
 TEST(ServePredictor, LoadFileMatchesFromBytes) {
