@@ -644,7 +644,7 @@ TEST(ArtifactFuzz, SeededSingleBitFlipsAreRejected) {
   std::uint64_t state = 0x5EEDBEEFCAFEF00DULL;
   for (int flip = 0; flip < 64; ++flip) {
     const std::uint64_t draw = rng::splitmix64(state);
-    const std::size_t byte = static_cast<std::size_t>(draw % fixture.size());
+    const std::size_t byte = draw % fixture.size();
     const unsigned bit = static_cast<unsigned>((draw >> 32) % 8);
     auto corrupted = fixture;
     corrupted[byte] ^= static_cast<std::uint8_t>(1U << bit);

@@ -2,11 +2,14 @@
 // (XGBoost-style), OrderedBoostedTrees (CatBoost-style).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "models/gbt.hpp"
 #include "models/ordered_boost.hpp"
 #include "models/tree.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
@@ -152,6 +155,86 @@ TEST(Gbt, PinballQuantilesBracketTheData) {
       stats::interval_coverage(y, lo.predict(x), hi.predict(x));
   EXPECT_GT(cov, 0.80);
   EXPECT_LT(cov, 0.999);
+}
+
+// Tie-heavy design for the exact split search: every value sits on one of
+// three levels, column 3 is constant and the second half of the rows
+// duplicates the first. Equal values are scanned in row-index order, so the
+// gradient sums at each candidate threshold — and every fitted bit — depend
+// on that tie-break. 600 x 8 crosses the split-search pool gate at the top
+// of each tree.
+StepProblem make_tied_problem() {
+  constexpr std::size_t kHalf = 300;
+  constexpr std::size_t kCols = 8;
+  constexpr std::size_t kConstantCol = 3;
+  rng::Rng rng(17);
+  StepProblem p{Matrix(2 * kHalf, kCols), Vector(2 * kHalf)};
+  for (std::size_t i = 0; i < kHalf; ++i) {
+    double signal = 0.0;
+    for (std::size_t c = 0; c < kCols; ++c) {
+      const double z = rng.normal();
+      const double level = z < -0.4 ? -1.0 : (z > 0.4 ? 1.0 : 0.0);
+      p.x(i, c) = c == kConstantCol ? 2.5 : level;
+      signal += (c % 2 == 0 ? 0.6 : 0.2) * p.x(i, c);
+    }
+    p.y[i] = signal + rng.normal(0.0, 0.3);
+  }
+  for (std::size_t i = 0; i < kHalf; ++i) {
+    for (std::size_t c = 0; c < kCols; ++c) p.x(kHalf + i, c) = p.x(i, c);
+    p.y[kHalf + i] = p.y[i];
+  }
+  return p;
+}
+
+/// FNV-1a (64-bit) over the fitted state: base score, learning rate and
+/// every node field, doubles by bit pattern.
+std::uint64_t params_digest(const GbtParams& params) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(std::bit_cast<std::uint64_t>(params.base_score));
+  mix(std::bit_cast<std::uint64_t>(params.learning_rate));
+  mix(params.n_features);
+  for (const auto& nodes : params.trees) {
+    mix(nodes.size());
+    for (const TreeNode& node : nodes) {
+      mix(node.is_leaf ? 1U : 0U);
+      mix(node.feature);
+      mix(std::bit_cast<std::uint64_t>(node.threshold));
+      mix(static_cast<std::uint32_t>(node.left));
+      mix(static_cast<std::uint32_t>(node.right));
+      mix(std::bit_cast<std::uint64_t>(node.value));
+      mix(static_cast<std::uint32_t>(node.leaf_id));
+      mix(std::bit_cast<std::uint64_t>(node.gain));
+    }
+  }
+  return hash;
+}
+
+struct ThreadOverrideGuard {
+  ~ThreadOverrideGuard() { parallel::set_max_threads(0); }
+};
+
+TEST(Gbt, TiedAndConstantColumnsFitIsPinnedAtEveryWidth) {
+  const auto p = make_tied_problem();
+  GbtConfig config;
+  config.loss = Loss::pinball(core::QuantileLevel{0.9});
+  // Captured once from the per-node sort scan; the presorted search must
+  // reproduce it bit for bit.
+  constexpr std::uint64_t kPinned = 0x1037b237389e20f7ULL;
+  ThreadOverrideGuard guard;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+    parallel::set_max_threads(width);
+    GradientBoostedTrees gbt(config);
+    gbt.fit(p.x, p.y);
+    EXPECT_EQ(params_digest(gbt.export_params()), kPinned)
+        << "width " << width << ": digest 0x" << std::hex
+        << params_digest(gbt.export_params());
+  }
 }
 
 TEST(Gbt, CloneAndValidation) {

@@ -10,6 +10,7 @@
 // loop, serve batch sharding) — an inline-only run would prove nothing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -268,5 +269,71 @@ INSTANTIATE_TEST_SUITE_P(ScreenModels, ArtifactInvariance,
                          [](const auto& param_info) {
                            return kind_suffix(param_info.param);
                          });
+
+// --- pinned refit grid --------------------------------------------------------
+
+/// FNV-1a (64-bit) of a byte string: a compact, portable fingerprint of an
+/// encoded artifact.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Digests of the 18 paper-grid CQR-GBT artifacts (read points outer,
+/// temperatures inner). Captured once; any change to the bit-exact fit —
+/// split search, boosting, calibration, encoding — moves at least one.
+constexpr std::array<std::uint64_t, 18> kPaperGridDigests = {
+    0xdfa4e3170a31d982ULL, 0x1f64db9f7c377be8ULL, 0x48f56618a4ec5d13ULL,
+    0x8e7cee81a19517f7ULL, 0x6b519b238f4a4ac0ULL, 0x51c1bd93edd3267dULL,
+    0x1ad6e95517afb873ULL, 0x9f9cfe642c38356eULL, 0xa1367af7e4ef980aULL,
+    0x44a46dec74717305ULL, 0x67b98bc313903addULL, 0xc74626e4ecb0cd12ULL,
+    0x7d00ff41f8857bfaULL, 0x8f88328777bcb639ULL, 0xb06ba9ea18038a89ULL,
+    0x6854b0aae351d8d2ULL, 0x4692dca6341aff79ULL, 0xfd8af069ea0103e2ULL,
+};
+
+/// Fits and encodes every paper-grid scenario the way a re-characterization
+/// does: the default-seed paper population, fit_screen with CQR-GBT under
+/// the default PipelineConfig, make_screen_bundle, encode_bundle.
+std::vector<std::uint64_t> paper_grid_digests() {
+  const auto generated = silicon::generate_dataset(silicon::GeneratorConfig{});
+  const core::PipelineConfig config;
+  std::vector<std::uint64_t> digests;
+  for (const double hours : silicon::standard_read_points()) {
+    for (const double celsius : silicon::standard_temperatures()) {
+      const core::Scenario scenario{hours, celsius, core::FeatureSet::kBoth};
+      const auto data = core::assemble_scenario(generated.dataset, scenario);
+      auto screen = core::fit_screen(data, models::ModelKind::kXgboost, config,
+                                     config.tree_prefilter);
+      digests.push_back(fnv1a(artifact::encode_bundle(
+          core::make_screen_bundle(scenario, data, std::move(screen)))));
+    }
+  }
+  return digests;
+}
+
+void expect_pinned_paper_grid(std::size_t width) {
+  ThreadOverrideGuard guard;
+  parallel::set_max_threads(width);
+  const std::vector<std::uint64_t> got = paper_grid_digests();
+  ASSERT_EQ(got.size(), kPaperGridDigests.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], kPaperGridDigests[i])
+        << "scenario #" << i << " digest 0x" << std::hex << got[i];
+  }
+}
+
+TEST(CqrRefitGrid, PaperGridArtifactDigestsArePinnedAtOneThread) {
+  expect_pinned_paper_grid(1);
+}
+
+/// Width 0 restores the env/hardware resolution: the full pool, where the
+/// quantile pair and the split searches run concurrently.
+TEST(CqrRefitGrid, PaperGridArtifactDigestsArePinnedAtFullWidth) {
+  expect_pinned_paper_grid(0);
+}
 
 }  // namespace
