@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   const Problem batch = make_problem(batch_rows, kFeatures);
 
   // --- GBT fit: the split search + row loops are the pool's hottest user.
-  // Benched on both kernel tiers: bit_exact keeps the exact sort-scan split
+  // Benched on both kernel tiers: bit_exact keeps the exact presorted split
   // search, fast routes through the histogram-binned search. Skipped under
   // --stress: fit cost does not depend on the serve batch.
   WidthTiming gbt_fit;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "parallel/parallel_for.hpp"
 #include "stats/distributions.hpp"
 
 namespace vmincqr::models {
@@ -59,8 +60,13 @@ void QuantilePairRegressor::fit(const Matrix& x, const Vector& y) {
                   "QuantilePairRegressor::fit: empty training set");
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(),
                       "QuantilePairRegressor::fit: rows/labels mismatch");
-  lower_->fit(x, y);
-  upper_->fit(x, y);
+  // The two quantile fits share nothing but (x, y), so they run as the two
+  // chunks of one pool call. Parallel work inside each fit runs inline on
+  // its lane, and the pool rethrows the lowest chunk's exception — the
+  // lower fit's, as the sequential order would.
+  parallel::parallel_for(2, /*grain=*/1, [&](std::size_t begin, std::size_t) {
+    (begin == 0 ? lower_ : upper_)->fit(x, y);
+  });
 }
 
 IntervalPrediction QuantilePairRegressor::predict_interval(

@@ -24,31 +24,70 @@ struct SplitCandidate {
   double threshold = 0.0;
 };
 
-}  // namespace
-
-void RegressionTree::fit(const Matrix& x, const Vector& grad,
-                         const Vector& hess, const TreeConfig& config,
-                         const std::vector<std::size_t>& rows) {
+/// Shape contract shared by both exact fit() entry points.
+void check_fit_args(const Matrix& x, const Vector& grad, const Vector& hess) {
   if (x.rows() == 0 || x.cols() == 0) {
     throw std::invalid_argument("RegressionTree::fit: empty design matrix");
   }
   if (grad.size() != x.rows() || hess.size() != x.rows()) {
     throw std::invalid_argument("RegressionTree::fit: grad/hess size mismatch");
   }
+}
+
+}  // namespace
+
+std::vector<std::size_t> RegressionTree::presort(const Matrix& x) {
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> order(n * x.cols());
+  // One sort per feature, each chunk writing only its features' lists.
+  // (value, row) is a strict total order, so every list is unique.
+  parallel::parallel_for(
+      x.cols(), /*grain=*/1,
+      [&](std::size_t f_begin, std::size_t f_end) {
+        for (std::size_t f = f_begin; f < f_end; ++f) {
+          const auto first = order.begin() + static_cast<std::ptrdiff_t>(f * n);
+          const auto last = first + static_cast<std::ptrdiff_t>(n);
+          std::iota(first, last, std::size_t{0});
+          std::sort(first, last, [&](std::size_t a, std::size_t b) {
+            if (x(a, f) != x(b, f)) return x(a, f) < x(b, f);
+            return a < b;
+          });
+        }
+      },
+      /*use_pool=*/n * x.cols() >= kMinParallelSplitWork);
+  return order;
+}
+
+void RegressionTree::fit(const Matrix& x, const Vector& grad,
+                         const Vector& hess, const TreeConfig& config) {
+  check_fit_args(x, grad, hess);
+  fit(x, grad, hess, config, presort(x));
+}
+
+void RegressionTree::fit(const Matrix& x, const Vector& grad,
+                         const Vector& hess, const TreeConfig& config,
+                         const std::vector<std::size_t>& order) {
+  check_fit_args(x, grad, hess);
+  if (order.size() != x.rows() * x.cols()) {
+    throw std::invalid_argument("RegressionTree::fit: presort size mismatch");
+  }
   nodes_.clear();
   leaf_node_index_.clear();
   n_leaves_ = 0;
   train_leaf_ids_.assign(x.rows(), -1);
 
-  std::vector<std::size_t> all_rows = rows;
-  if (all_rows.empty()) {
-    all_rows.resize(x.rows());
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+  std::vector<std::size_t> all_rows(x.rows());
+  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+  order_scratch_[0] = order;
+  order_scratch_[1].resize(order.size());
+  goes_left_.resize(x.rows());
+  build(x, grad, hess, config, all_rows, 0, 0);
+  for (auto& buffer : order_scratch_) {
+    buffer.clear();
+    buffer.shrink_to_fit();
   }
-  split_sort_scratch_.assign(x.cols(), {});
-  build(x, grad, hess, config, all_rows, 0);
-  split_sort_scratch_.clear();
-  split_sort_scratch_.shrink_to_fit();
+  goes_left_.clear();
+  goes_left_.shrink_to_fit();
   flat_.clear();
   flat_.add_tree(nodes_);
 }
@@ -59,8 +98,7 @@ void RegressionTree::fit(const Matrix& x, const Vector& grad,
 void RegressionTree::fit_binned(const Matrix& x, const Vector& grad,
                                 const Vector& hess, const TreeConfig& config,
                                 const core::FeatureBinner& binner,
-                                const std::vector<std::uint16_t>& codes,
-                                const std::vector<std::size_t>& rows) {
+                                const std::vector<std::uint16_t>& codes) {
   if (x.rows() == 0 || x.cols() == 0) {
     throw std::invalid_argument(
         "RegressionTree::fit_binned: empty design matrix");
@@ -79,11 +117,8 @@ void RegressionTree::fit_binned(const Matrix& x, const Vector& grad,
   n_leaves_ = 0;
   train_leaf_ids_.assign(x.rows(), -1);
 
-  std::vector<std::size_t> all_rows = rows;
-  if (all_rows.empty()) {
-    all_rows.resize(x.rows());
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-  }
+  std::vector<std::size_t> all_rows(x.rows());
+  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   build_binned(grad, hess, config, binner, codes, x.cols(), all_rows, 0);
   flat_.clear();
   flat_.add_tree(nodes_);
@@ -127,7 +162,8 @@ void RegressionTree::import_nodes(std::vector<TreeNode> nodes) {
 
 std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
                                    const Vector& hess, const TreeConfig& config,
-                                   std::vector<std::size_t>& rows, int depth) {
+                                   std::vector<std::size_t>& rows,
+                                   std::size_t begin, int depth) {
   double g_total = 0.0, h_total = 0.0;
   for (auto r : rows) {
     g_total += grad[r];
@@ -152,27 +188,24 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
   }
 
   // Exact greedy split search, parallel across features: each chunk scans
-  // its features against a private sort buffer, then the per-chunk bests
-  // fold in ascending feature order — so the winner (first strict maximum)
-  // matches a sequential feature-order scan at every thread count.
+  // its features' presorted segments, then the per-chunk bests fold in
+  // ascending feature order — so the winner (first strict maximum) matches
+  // a sequential feature-order scan at every thread count.
+  const std::size_t n = x.rows();
+  const std::size_t count = rows.size();
+  const std::vector<std::size_t>& order = order_scratch_[depth % 2];
   const double parent_score = g_total * g_total / (h_total + config.lambda);
-  const bool use_pool = rows.size() * x.cols() >= kMinParallelSplitWork;
+  const bool use_pool = count * x.cols() >= kMinParallelSplitWork;
   const SplitCandidate best = parallel::parallel_deterministic_reduce(
       x.cols(), /*grain=*/1, SplitCandidate{},
       [&](std::size_t f_begin, std::size_t f_end) {
         SplitCandidate local;
         for (std::size_t f = f_begin; f < f_end; ++f) {
-          std::vector<std::size_t>& sorted = split_sort_scratch_[f];
-          sorted.assign(rows.begin(), rows.end());
-          // Row index breaks value ties so the scan order is a pure
-          // function of the data, not of the previous feature's sort.
-          std::sort(sorted.begin(), sorted.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (x(a, f) != x(b, f)) return x(a, f) < x(b, f);
-                      return a < b;
-                    });
+          // The node's rows in (value, row) order: row index breaks value
+          // ties, so the scan order is a pure function of the data.
+          const std::size_t* sorted = order.data() + f * n + begin;
           double g_left = 0.0, h_left = 0.0;
-          for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+          for (std::size_t i = 0; i + 1 < count; ++i) {
             const auto r = sorted[i];
             g_left += grad[r];
             h_left += hess[r];
@@ -180,7 +213,7 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
             const double v_next = x(sorted[i + 1], f);
             if (v == v_next) continue;  // cannot split between equal values
             const std::size_t n_left = i + 1;
-            const std::size_t n_right = sorted.size() - n_left;
+            const std::size_t n_right = count - n_left;
             if (n_left < config.min_samples_leaf ||
                 n_right < config.min_samples_leaf) {
               continue;
@@ -214,12 +247,39 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
   if (best.gain <= 0.0) return make_leaf();
 
   std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
+  left_rows.reserve(count);
+  right_rows.reserve(count);
   for (auto r : rows) {
-    (x(r, best.feature) <= best.threshold ? left_rows : right_rows).push_back(r);
+    const bool left = x(r, best.feature) <= best.threshold;
+    goes_left_[r] = left ? 1 : 0;
+    (left ? left_rows : right_rows).push_back(r);
   }
   if (left_rows.empty() || right_rows.empty()) return make_leaf();
+
+  // Stable partition of every feature's segment into the other buffer: left
+  // rows first, right rows after, each side keeping its relative order. A
+  // stable partition of a (value, row)-sorted list is still sorted, so each
+  // child scans exactly the order a fresh sort of its rows would give.
+  std::vector<std::size_t>& next = order_scratch_[(depth + 1) % 2];
+  const std::size_t n_left = left_rows.size();
+  parallel::parallel_for(
+      x.cols(), /*grain=*/1,
+      [&](std::size_t f_begin, std::size_t f_end) {
+        for (std::size_t f = f_begin; f < f_end; ++f) {
+          const std::size_t base = f * n + begin;
+          std::size_t to_left = base;
+          std::size_t to_right = base + n_left;
+          for (std::size_t i = base; i < base + count; ++i) {
+            const std::size_t r = order[i];
+            if (goes_left_[r] != 0) {
+              next[to_left++] = r;
+            } else {
+              next[to_right++] = r;
+            }
+          }
+        }
+      },
+      use_pool);
 
   const auto node_index = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();  // placeholder; children may reallocate nodes_
@@ -228,8 +288,10 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
   nodes_[node_index].threshold = best.threshold;
   nodes_[node_index].gain = best.gain;
 
-  const std::int32_t left = build(x, grad, hess, config, left_rows, depth + 1);
-  const std::int32_t right = build(x, grad, hess, config, right_rows, depth + 1);
+  const std::int32_t left =
+      build(x, grad, hess, config, left_rows, begin, depth + 1);
+  const std::int32_t right =
+      build(x, grad, hess, config, right_rows, begin + n_left, depth + 1);
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;

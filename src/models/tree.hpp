@@ -8,6 +8,7 @@
 // fitting (leaf-quantile refit), which fit() supports via train_leaf_ids().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,25 +45,34 @@ struct TreeNode {
 
 class RegressionTree {
  public:
+  /// The exact split search's per-feature row order for x: for each feature
+  /// f, every row index sorted by (x(r, f), r), stored feature-major (entry
+  /// f * x.rows() + i). It depends on x alone, so a boosting fit computes it
+  /// once and hands it to every round's fit().
+  [[nodiscard]] static std::vector<std::size_t> presort(const Matrix& x);
+
   /// Fits the tree structure to (x, grad, hess). All vectors length x.rows().
-  /// `rows` restricts training to a subset (empty -> all rows).
+  /// Same tree as fit(x, grad, hess, config, presort(x)).
   /// Throws std::invalid_argument on shape mismatch.
   void fit(const Matrix& x, const Vector& grad, const Vector& hess,
-           const TreeConfig& config,
-           const std::vector<std::size_t>& rows = {});
+           const TreeConfig& config);
+
+  /// fit() over a precomputed presort(x) (`order`, size x.rows() * x.cols()).
+  /// Throws std::invalid_argument on shape mismatch.
+  void fit(const Matrix& x, const Vector& grad, const Vector& hess,
+           const TreeConfig& config, const std::vector<std::size_t>& order);
 
   /// Histogram-split variant of fit(): the split search scans pre-binned
   /// codes (one G/H/count histogram per feature, O(n + bins) instead of the
-  /// exact O(n log n) sort scan), with candidate thresholds limited to the
-  /// binner's edges. Fully deterministic and thread-count invariant, but the
-  /// chosen splits can differ from fit()'s exact scan — fast-tier only
-  /// (linalg::KernelPolicy::kFast fit paths route here).
+  /// exact O(n) scan of a presorted order), with candidate thresholds limited
+  /// to the binner's edges. Fully deterministic and thread-count invariant,
+  /// but the chosen splits can differ from fit()'s exact scan — fast-tier
+  /// only (linalg::KernelPolicy::kFast fit paths route here).
   /// `codes` is the binner's row-major code matrix for x; throws
   /// std::invalid_argument on shape mismatch with x or the binner.
   void fit_binned(const Matrix& x, const Vector& grad, const Vector& hess,
                   const TreeConfig& config, const core::FeatureBinner& binner,
-                  const std::vector<std::uint16_t>& codes,
-                  const std::vector<std::size_t>& rows = {});
+                  const std::vector<std::uint16_t>& codes);
 
   /// Prediction for one feature row of length d (must equal the training
   /// feature count; unchecked hot path).
@@ -71,8 +81,7 @@ class RegressionTree {
   /// Predictions for every row of x. Throws std::logic_error if not fitted.
   [[nodiscard]] Vector predict(const Matrix& x) const;
 
-  /// Leaf id per *training* row index (size = x.rows() passed to fit;
-  /// untrained rows get -1 when a row subset was used).
+  /// Leaf id per *training* row index (size = x.rows() passed to fit).
   [[nodiscard]] const std::vector<std::int32_t>& train_leaf_ids() const {
     return train_leaf_ids_;
   }
@@ -109,9 +118,12 @@ class RegressionTree {
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
  private:
+  /// Grows the subtree over `rows` (ascending row indices). The node's rows
+  /// occupy positions [begin, begin + rows.size()) of every feature's list
+  /// in order_scratch_[depth % 2], each list in (value, row) order.
   std::int32_t build(const Matrix& x, const Vector& grad, const Vector& hess,
                      const TreeConfig& config, std::vector<std::size_t>& rows,
-                     int depth);
+                     std::size_t begin, int depth);
 
   std::int32_t build_binned(const Vector& grad, const Vector& hess,
                             const TreeConfig& config,
@@ -120,11 +132,14 @@ class RegressionTree {
                             std::size_t n_features,
                             std::vector<std::size_t>& rows, int depth);
 
-  /// Fit-time scratch: one row-order buffer per feature, reused by every
-  /// node's split search (the per-feature chunks of one search run
-  /// concurrently, so they must not share a buffer). Sized by fit(),
-  /// released before fit() returns.
-  std::vector<std::vector<std::size_t>> split_sort_scratch_;
+  /// Fit-time scratch of the exact search, sized by fit() and released
+  /// before it returns. order_scratch_ holds two copies of the presorted
+  /// order: a node at depth k scans its segment of buffer k % 2 and
+  /// partitions it into the same positions of the other buffer, where its
+  /// children read it. goes_left_ flags, per row, the side of the split
+  /// being partitioned.
+  std::array<std::vector<std::size_t>, 2> order_scratch_;
+  std::vector<std::uint8_t> goes_left_;
 
   std::vector<TreeNode> nodes_;
   FlatForest flat_;  // single-tree SoA mirror of nodes_ (see flat())

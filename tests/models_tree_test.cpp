@@ -223,8 +223,8 @@ TEST(Gbt, TiedAndConstantColumnsFitIsPinnedAtEveryWidth) {
   const auto p = make_tied_problem();
   GbtConfig config;
   config.loss = Loss::pinball(core::QuantileLevel{0.9});
-  // Captured once from the per-node sort scan; the presorted search must
-  // reproduce it bit for bit.
+  // Captured from a fit that sorted each node's rows afresh; the presorted
+  // search must reproduce it bit for bit.
   constexpr std::uint64_t kPinned = 0x1037b237389e20f7ULL;
   ThreadOverrideGuard guard;
   for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
