@@ -27,6 +27,10 @@
 #include "core/pipeline.hpp"
 #include "models/elastic_net.hpp"
 #include "models/factory.hpp"
+#include "models/gbt.hpp"
+#include "models/gp.hpp"
+#include "models/mlp.hpp"
+#include "models/ordered_boost.hpp"
 #include "models/region.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
@@ -334,6 +338,83 @@ TEST(CqrRefitGrid, PaperGridArtifactDigestsArePinnedAtOneThread) {
 /// quantile pair and the split searches run concurrently.
 TEST(CqrRefitGrid, PaperGridArtifactDigestsArePinnedAtFullWidth) {
   expect_pinned_paper_grid(0);
+}
+
+// --- pinned direct fits -------------------------------------------------------
+
+/// FNV-1a (64-bit) over f64 bit patterns, little-endian byte by byte.
+std::uint64_t bits_digest(const std::vector<std::uint64_t>& words) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// Asserts `compute` hashes to `pinned` at width 1 and at the full pool
+/// (width 0). The constants were captured from the model code before the
+/// dense kernels lost their accuracy-tier parameter; they pin the
+/// kernel-calling fits outside fit_screen, which CqrRefitGrid never reaches.
+void expect_pinned_digest(
+    std::uint64_t pinned,
+    const std::function<std::vector<std::uint64_t>()>& compute) {
+  ThreadOverrideGuard guard;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+    parallel::set_max_threads(width);
+    const std::uint64_t got = bits_digest(compute());
+    EXPECT_EQ(got, pinned) << "width " << width << ": digest 0x" << std::hex
+                           << got;
+  }
+}
+
+TEST(ParallelExactFits, SquaredLossGbtFitIsPinned) {
+  const Problem train = make_problem(kTreeRows, kTreeCols, 7);
+  const Problem fresh = make_problem(kFreshRows, kTreeCols, 11);
+  expect_pinned_digest(0xcf556e992d1cae08ULL, [&] {
+    models::GradientBoostedTrees model;
+    model.fit(train.x, train.y);
+    return bit_pattern(model.predict(fresh.x));
+  });
+}
+
+TEST(ParallelExactFits, OrderedBoostFitIsPinned) {
+  const Problem train = make_problem(kTreeRows, kTreeCols, 7);
+  const Problem fresh = make_problem(kFreshRows, kTreeCols, 11);
+  expect_pinned_digest(0xdd094a6571d30c74ULL, [&] {
+    models::OrderedBoostedTrees model;
+    model.fit(train.x, train.y);
+    return bit_pattern(model.predict(fresh.x));
+  });
+}
+
+/// 120 training rows: the 120^2 kernel crosses the 4096 pool gate.
+TEST(ParallelExactFits, GpPosteriorMeanAndVarianceArePinned) {
+  const Problem train = make_problem(120, kTreeCols, 7);
+  const Problem fresh = make_problem(kFreshRows, kTreeCols, 11);
+  expect_pinned_digest(0x63223f94779c7be5ULL, [&] {
+    models::GaussianProcessRegressor model;
+    model.fit(train.x, train.y);
+    const models::GpPosterior posterior = model.posterior(fresh.x);
+    std::vector<std::uint64_t> bits = bit_pattern(posterior.mean);
+    const auto variance = bit_pattern(posterior.variance);
+    bits.insert(bits.end(), variance.begin(), variance.end());
+    return bits;
+  });
+}
+
+TEST(ParallelExactFits, MlpFitAndPredictArePinned) {
+  const Problem train = make_problem(kTreeRows, kTreeCols, 7);
+  const Problem fresh = make_problem(kFreshRows, kTreeCols, 11);
+  models::MlpConfig config;
+  config.epochs = 300;  // the pin needs the kernels, not convergence
+  expect_pinned_digest(0x215b59b94d23ca51ULL, [&] {
+    models::MlpRegressor model(config);
+    model.fit(train.x, train.y);
+    return bit_pattern(model.predict(fresh.x));
+  });
 }
 
 }  // namespace
