@@ -37,6 +37,9 @@ and classifies every leaf by its key:
     suffix (``threads``, ``n_train``, ``artifact_bytes``, model names):
     FAIL on any mismatch. Comparing runs with different shapes or thread
     counts is meaningless, so shape drift is an error, not a regression.
+    A FLOAT leaf with no unit suffix is a metric nobody classified, not a
+    config: it FAILs as such, since exact-matching a measurement would
+    fail on every noisy run.
 
 Lists of objects are matched by their ``name`` field when present (so
 reordering the model zoo does not break the diff), positionally
@@ -100,6 +103,15 @@ def classify(key):
     return "config"
 
 
+def unclassified_float(path, *values):
+    """The failure for an unsuffixed float leaf, or None when the leaf is a
+    genuine (integer / string / bool) config value."""
+    if any(isinstance(v, float) for v in values):
+        return ("unclassified float metric '%s': give it a unit suffix" %
+                path)
+    return None
+
+
 def pair_lists(base, cur):
     """Pair list elements by 'name' when both sides have one, else by index."""
     if (base and cur and all(isinstance(x, dict) and "name" in x for x in base)
@@ -149,7 +161,10 @@ def compare(base, cur, tols, path, failures, notes):
     kind = classify(key)
 
     if kind == "config" or isinstance(base, (str, bool)):
-        if base != cur:
+        unclassified = unclassified_float(path, base, cur)
+        if unclassified:
+            failures.append(unclassified)
+        elif base != cur:
             failures.append("%s: config mismatch (baseline %r, current %r); "
                             "re-pin the run or regenerate the baseline" %
                             (path, base, cur))
@@ -256,7 +271,10 @@ def aggregate(docs, path, cvs, failures):
     # Leaf: timing keys average, everything else must agree exactly.
     key = path.rsplit(".", 1)[-1].rsplit("]", 1)[-1] or path
     if classify(key) == "config" or isinstance(first, (str, bool)):
-        if any(d != first for d in docs):
+        unclassified = unclassified_float(path, *docs)
+        if unclassified:
+            failures.append(unclassified)
+        elif any(d != first for d in docs):
             failures.append(
                 "%s: config differs across repeat runs (%s); repeats must "
                 "share shapes and thread counts" %

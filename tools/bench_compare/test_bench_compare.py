@@ -123,6 +123,25 @@ def test_integer_counters_gate_exactly():
     assert len(failures) == 1 and "config mismatch" in failures[0]
 
 
+def test_unsuffixed_float_leaf_is_an_error_not_config():
+    # A float ratio with no unit suffix (e.g. "vs_exact") is a metric, not
+    # a config value: it must fail as unclassified even when both sides
+    # agree, instead of posing as a config mismatch on every noisy run.
+    for cur in (13.5968, 14.2):
+        failures, _ = run_compare({"fit": {"vs_exact": 13.5968}},
+                                  {"fit": {"vs_exact": cur}})
+        assert failures == ["unclassified float metric 'fit.vs_exact': "
+                            "give it a unit suffix"]
+    # Integer and string leaves stay config.
+    failures, _ = run_compare({"threads": 2, "predictor": "CQR"},
+                              {"threads": 2, "predictor": "CQR"})
+    assert failures == []
+    failures = []
+    bc.aggregate([{"vs_exact": 1.5}, {"vs_exact": 1.5}], "", {}, failures)
+    assert failures == ["unclassified float metric 'vs_exact': give it a "
+                        "unit suffix"]
+
+
 def test_missing_key_fails_new_key_is_note():
     failures, _ = run_compare({"qps": 100.0, "threads": 2}, {"threads": 2})
     assert any("missing" in f for f in failures)
