@@ -103,62 +103,42 @@ std::string json_number(double value) {
 struct KernelTiming {
   std::string name;
   double exact_us = 0.0;
-  double fast_us = 0.0;
 };
 
-/// Micro-times the dense kernels on both accuracy tiers at MLP-forward /
-/// GP-assembly shapes, so the per-kernel cost of each tier is a tracked
-/// number rather than folklore. Sizes match the hot callers: gemm at the
-/// MLP chunk shape (256 x 13 -> 16 hidden), row_sq_dists at one GP kernel
-/// row against 2000 training rows.
+/// Micro-times the dense kernels at MLP-forward / GP-assembly shapes, so the
+/// per-kernel cost is a tracked number rather than folklore. Sizes match the
+/// hot callers: gemm at the MLP chunk shape (256 x 13 -> 16 hidden),
+/// row_sq_dists at one GP kernel row against 2000 training rows.
 std::vector<KernelTiming> bench_kernels() {
   constexpr std::size_t kM = 256, kK = 13, kN = 16, kGpRows = 2000;
   rng::Rng rng(11);
   std::vector<double> a(kM * kK), b(kK * kN), bt(kM * kN), x(kK);
-  std::vector<double> gp(kGpRows * kK), norms(kGpRows);
+  std::vector<double> gp(kGpRows * kK);
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
   for (auto& v : bt) v = rng.normal();
   for (auto& v : x) v = rng.normal();
   for (auto& v : gp) v = rng.normal();
   std::vector<double> c(kM * kN), g(kK * kN), y(kM), d(kGpRows);
-  for (std::size_t j = 0; j < kGpRows; ++j) {
-    norms[j] = linalg::dot_kernel(kK, gp.data() + j * kK, gp.data() + j * kK,
-                                  linalg::KernelPolicy::kFast);
-  }
-
-  const auto time_both =
-      [](const std::function<void(linalg::KernelPolicy)>& fn) {
-        const double exact_s = median_seconds(
-            200, [&] { fn(linalg::KernelPolicy::kBitExact); });
-        const double fast_s =
-            median_seconds(200, [&] { fn(linalg::KernelPolicy::kFast); });
-        return std::pair<double, double>(1e6 * exact_s, 1e6 * fast_s);
-      };
 
   std::vector<KernelTiming> out;
   const auto add = [&out](const std::string& name,
-                          std::pair<double, double> us) {
-    out.push_back({name, us.first, us.second});
+                          const std::function<void()>& fn) {
+    out.push_back({name, 1e6 * median_seconds(200, fn)});
   };
-  add("gemm_256x13x16", time_both([&](linalg::KernelPolicy p) {
-        std::fill(c.begin(), c.end(), 0.0);
-        linalg::gemm(kM, kK, kN, a.data(), kK, b.data(), kN, c.data(), kN, p);
-      }));
-  add("gemm_at_256x13x16", time_both([&](linalg::KernelPolicy p) {
-        std::fill(g.begin(), g.end(), 0.0);
-        linalg::gemm_at(kM, kK, kN, a.data(), kK, bt.data(), kN, g.data(), kN,
-                        p);
-      }));
-  add("gemv_256x13", time_both([&](linalg::KernelPolicy p) {
-        linalg::gemv(kM, kK, a.data(), kK, x.data(), y.data(), p);
-      }));
-  add("row_sq_dists_1x2000x13", time_both([&](linalg::KernelPolicy p) {
-        const double* n_ptr =
-            p == linalg::KernelPolicy::kFast ? norms.data() : nullptr;
-        linalg::row_sq_dists(gp.data(), kK, gp.data(), kK, kGpRows, n_ptr,
-                             d.data(), p);
-      }));
+  add("gemm_256x13x16", [&] {
+    std::fill(c.begin(), c.end(), 0.0);
+    linalg::gemm(kM, kK, kN, a.data(), kK, b.data(), kN, c.data(), kN);
+  });
+  add("gemm_at_256x13x16", [&] {
+    std::fill(g.begin(), g.end(), 0.0);
+    linalg::gemm_at(kM, kK, kN, a.data(), kK, bt.data(), kN, g.data(), kN);
+  });
+  add("gemv_256x13",
+      [&] { linalg::gemv(kM, kK, a.data(), kK, x.data(), y.data()); });
+  add("row_sq_dists_1x2000x13", [&] {
+    linalg::row_sq_dists(gp.data(), kK, gp.data(), kK, kGpRows, d.data());
+  });
   return out;
 }
 
@@ -209,11 +189,10 @@ int main(int argc, char** argv) {
       bundle.label.c_str(), 1e6 * serve_s, serve_rows_per_s, 1e6 * encode_s,
       1e6 * decode_s, bytes.size());
 
-  // --- dense micro-kernels: per-kernel, per-tier wall-clock ----------------
+  // --- dense micro-kernels: per-kernel wall-clock ---------------------------
   const std::vector<KernelTiming> kernels = bench_kernels();
   for (const KernelTiming& k : kernels) {
-    std::printf("kernel %-24s exact %8.2f us   fast %8.2f us\n",
-                k.name.c_str(), k.exact_us, k.fast_us);
+    std::printf("kernel %-24s exact %8.2f us\n", k.name.c_str(), k.exact_us);
   }
 
   // --- emit JSON ------------------------------------------------------------
@@ -235,8 +214,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelTiming& k = kernels[i];
     json += "    {\"name\": \"" + k.name + "\", \"exact_us\": " +
-            json_number(k.exact_us) + ", \"fast_us\": " +
-            json_number(k.fast_us) + "}";
+            json_number(k.exact_us) + "}";
     json += (i + 1 < kernels.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";

@@ -30,7 +30,6 @@
 
 #include "artifact/bundle.hpp"
 #include "conformal/cqr.hpp"
-#include "linalg/kernels.hpp"
 #include "models/factory.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
@@ -131,30 +130,16 @@ int main(int argc, char** argv) {
   const Problem batch = make_problem(batch_rows, kFeatures);
 
   // --- GBT fit: the split search + row loops are the pool's hottest user.
-  // Benched on both kernel tiers: bit_exact keeps the exact presorted split
-  // search, fast routes through the histogram-binned search. Skipped under
-  // --stress: fit cost does not depend on the serve batch.
+  // Skipped under --stress: fit cost does not depend on the serve batch.
   WidthTiming gbt_fit;
-  WidthTiming gbt_fit_fast;
   if (!stress) {
-    const auto fit_once = [&] {
+    gbt_fit = bench_at_widths(wide, 3, [&] {
       auto model = models::make_point_regressor(models::ModelKind::kXgboost);
       model->fit(train.x, train.y);
-    };
-    gbt_fit = bench_at_widths(wide, 3, fit_once);
+    });
     std::printf(
         "gbt fit        1 thread %8.3f ms   %zu threads %8.3f ms   %.2fx\n",
         1e3 * gbt_fit.seq_s, wide, 1e3 * gbt_fit.par_s, gbt_fit.speedup());
-    {
-      const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kFast);
-      gbt_fit_fast = bench_at_widths(wide, 3, fit_once);
-    }
-    std::printf(
-        "gbt fit (fast) 1 thread %8.3f ms   %zu threads %8.3f ms   %.2fx  "
-        "(%.2fx vs exact)\n",
-        1e3 * gbt_fit_fast.seq_s, wide, 1e3 * gbt_fit_fast.par_s,
-        gbt_fit_fast.speedup(),
-        gbt_fit_fast.par_s > 0.0 ? gbt_fit.par_s / gbt_fit_fast.par_s : 0.0);
   }
 
   // --- serve batch: row-sharded predict_interval over a CQR-GBT bundle.
@@ -214,19 +199,6 @@ int main(int argc, char** argv) {
                  json_number(1e3 * gbt_fit.par_s).c_str());
     std::fprintf(out, "    \"speedup\": %s\n",
                  json_number(gbt_fit.speedup()).c_str());
-    std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"gbt_fit_fast\": {\n");
-    std::fprintf(out, "    \"seq_ms\": %s,\n",
-                 json_number(1e3 * gbt_fit_fast.seq_s).c_str());
-    std::fprintf(out, "    \"par_ms\": %s,\n",
-                 json_number(1e3 * gbt_fit_fast.par_s).c_str());
-    std::fprintf(out, "    \"speedup\": %s,\n",
-                 json_number(gbt_fit_fast.speedup()).c_str());
-    std::fprintf(out, "    \"vs_exact\": %s\n",
-                 json_number(gbt_fit_fast.par_s > 0.0
-                                 ? gbt_fit.par_s / gbt_fit_fast.par_s
-                                 : 0.0)
-                     .c_str());
     std::fprintf(out, "  },\n");
   }
   std::fprintf(out, "  \"serve_batch\": {\n");

@@ -1,9 +1,7 @@
 #include "core/binning.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace vmincqr::core {
 
@@ -76,87 +74,6 @@ BinningResult bin_by_point(const Vector& predicted, Millivolt guard_band,
     required[i] = predicted[i] + guard_band.to_volts();
   }
   return bin_chips(required, truth, config);
-}
-
-void FeatureBinner::fit(const Matrix& x, std::size_t max_bins) {
-  if (max_bins < 2) {
-    throw std::invalid_argument("FeatureBinner::fit: max_bins < 2");
-  }
-  if (x.rows() == 0 || x.cols() == 0) {
-    throw std::invalid_argument("FeatureBinner::fit: empty design matrix");
-  }
-  const std::size_t max_edges = max_bins - 1;
-  std::vector<std::vector<double>> edges(x.cols());
-  for (std::size_t f = 0; f < x.cols(); ++f) {
-    Vector values = x.col(f);
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.size() < 2) continue;  // constant feature: one bin, no edges
-    if (values.size() - 1 <= max_edges) {
-      // Every midpoint between adjacent distinct values — the histogram is
-      // then exactly as expressive as the sorted scan for this feature.
-      for (std::size_t i = 0; i + 1 < values.size(); ++i) {
-        edges[f].push_back(0.5 * (values[i] + values[i + 1]));
-      }
-    } else {
-      // Quantile-thinned midpoints (evenly spaced over the distinct values,
-      // the same policy as ordered-boost border selection). Midpoints of
-      // adjacent positions may coincide after thinning; dedup keeps the
-      // edges strictly ascending.
-      for (std::size_t b = 1; b <= max_edges; ++b) {
-        const double q =
-            static_cast<double>(b) / (static_cast<double>(max_edges) + 1.0);
-        const auto pos = static_cast<std::size_t>(
-            q * static_cast<double>(values.size() - 1));
-        edges[f].push_back(
-            0.5 * (values[pos] + values[std::min(pos + 1, values.size() - 1)]));
-      }
-      edges[f].erase(std::unique(edges[f].begin(), edges[f].end()),
-                     edges[f].end());
-    }
-  }
-  edges_ = std::move(edges);
-}
-
-void FeatureBinner::import_edges(std::vector<std::vector<double>> edges) {
-  for (const auto& feature_edges : edges) {
-    if (feature_edges.size() > 65535) {
-      throw std::invalid_argument(
-          "FeatureBinner::import_edges: more than 65535 edges");
-    }
-    for (std::size_t i = 0; i < feature_edges.size(); ++i) {
-      if (!std::isfinite(feature_edges[i]) ||
-          (i > 0 && feature_edges[i - 1] >= feature_edges[i])) {
-        throw std::invalid_argument(
-            "FeatureBinner::import_edges: edges must be finite and strictly "
-            "ascending");
-      }
-    }
-  }
-  edges_ = std::move(edges);
-}
-
-std::uint16_t FeatureBinner::bin_of(std::size_t feature, double value) const {
-  const std::vector<double>& e = edges_[feature];
-  // Number of edges < value: lower_bound leaves exact edge hits IN the bin
-  // below, matching the `x <= threshold` left-branch convention.
-  return static_cast<std::uint16_t>(
-      std::lower_bound(e.begin(), e.end(), value) - e.begin());
-}
-
-std::vector<std::uint16_t> FeatureBinner::bin(const Matrix& x) const {
-  if (x.cols() != edges_.size()) {
-    throw std::invalid_argument("FeatureBinner::bin: feature count mismatch");
-  }
-  std::vector<std::uint16_t> codes(x.rows() * x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.row_ptr(r);
-    std::uint16_t* crow = codes.data() + r * x.cols();
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-      crow[f] = bin_of(f, row[f]);
-    }
-  }
-  return codes;
 }
 
 double mean_voltage_saving(const BinningResult& a, const BinningResult& b,

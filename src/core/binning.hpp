@@ -1,24 +1,13 @@
-// Binning, in both senses this codebase needs it:
-//
-// 1. ML-assisted Vmin binning (the application of the paper's reference [4]:
-//    Lin et al., "ML-assisted Vmin binning with multiple guard bands",
-//    ITC'22): assign each chip the lowest supply-voltage bin that its
-//    predicted Vmin supports, trading power (lower bins) against field
-//    failures (violations). Interval-based binning uses the calibrated upper
-//    bound directly — the conformal guarantee transfers: at most ~alpha of
-//    chips land in a bin below their true Vmin. Point-based binning needs an
-//    explicit guard band.
-//
-// 2. Feature pre-binning (FeatureBinner) for histogram-based split search:
-//    quantize each feature to <= max_bins codes whose boundaries are
-//    candidate split thresholds, so a boosting round scans O(n + bins) per
-//    feature instead of the exact O(n log n) sort scan. The fast kernel
-//    tier (linalg::KernelPolicy::kFast) routes GBT / ordered-boost fits
-//    through these codes.
+// ML-assisted Vmin binning (the application of the paper's reference [4]:
+// Lin et al., "ML-assisted Vmin binning with multiple guard bands", ITC'22):
+// assign each chip the lowest supply-voltage bin that its predicted Vmin
+// supports, trading power (lower bins) against field failures (violations).
+// Interval-based binning uses the calibrated upper bound directly — the
+// conformal guarantee transfers: at most ~alpha of chips land in a bin below
+// their true Vmin. Point-based binning needs an explicit guard band.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/units.hpp"
@@ -71,60 +60,5 @@ BinningResult bin_by_point(const Vector& predicted, Millivolt guard_band,
 /// counting only chips binnable under both. Positive = A uses less voltage.
 double mean_voltage_saving(const BinningResult& a, const BinningResult& b,
                            const BinningConfig& config);
-
-/// Per-feature quantizer for histogram split search.
-///
-/// fit() learns ascending bin EDGES per feature — midpoints between adjacent
-/// distinct values, quantile-thinned to at most max_bins - 1 of them — and
-/// bin_of() maps a value to its bin code. The invariant that makes histogram
-/// splits equivalent to threshold splits:
-///
-///   bin_of(f, v) <= b   <=>   v <= edge(f, b)
-///
-/// so "bins 0..b go left" IS the tree split `x <= edge(f, b)`, and a fitted
-/// tree stores ordinary thresholds — prediction never sees the binner.
-///
-/// Everything is deterministic (pure function of the training matrix), but
-/// candidate thinning means the chosen splits can differ from the exact
-/// sort-based scan: fit paths using codes are fast-tier by construction.
-class FeatureBinner {
- public:
-  /// Learns edges from every column of x. max_bins >= 2 (throws otherwise);
-  /// a constant feature gets zero edges (single bin, never splittable).
-  void fit(const Matrix& x, std::size_t max_bins = kDefaultMaxBins);
-
-  /// Adopts explicit per-feature ascending edge lists (e.g. ordered-boost
-  /// borders). Throws std::invalid_argument on unsorted or non-finite edges
-  /// or a feature with > 65535 edges (codes are uint16).
-  void import_edges(std::vector<std::vector<double>> edges);
-
-  [[nodiscard]] bool fitted() const noexcept { return !edges_.empty(); }
-  [[nodiscard]] std::size_t n_features() const noexcept {
-    return edges_.size();
-  }
-  /// Bins for feature f (edge count + 1).
-  [[nodiscard]] std::size_t n_bins(std::size_t feature) const {
-    return edges_[feature].size() + 1;
-  }
-  [[nodiscard]] const std::vector<double>& edges(std::size_t feature) const {
-    return edges_[feature];
-  }
-  /// The split threshold bin boundary b stands for (b < n_bins(f) - 1).
-  [[nodiscard]] double edge(std::size_t feature, std::size_t b) const {
-    return edges_[feature][b];
-  }
-
-  /// Bin code of one value: the number of edges < value.
-  [[nodiscard]] std::uint16_t bin_of(std::size_t feature, double value) const;
-
-  /// Row-major (rows x n_features) code matrix for x. Throws
-  /// std::invalid_argument when x.cols() != n_features().
-  [[nodiscard]] std::vector<std::uint16_t> bin(const Matrix& x) const;
-
-  static constexpr std::size_t kDefaultMaxBins = 64;
-
- private:
-  std::vector<std::vector<double>> edges_;  ///< ascending, per feature
-};
 
 }  // namespace vmincqr::core

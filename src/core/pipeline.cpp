@@ -81,11 +81,6 @@ FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                   "fit_screen: need at least 8 chips to split and calibrate");
   VMINCQR_CHECK_SHAPE(data.x.rows() == data.y.size(),
                       "fit_screen: design/label row mismatch");
-  // Scope the configured kernel accuracy tier to this fit (restored on every
-  // exit path). No parallel work is in flight here — fit_screen is a
-  // pipeline root, per the set_kernel_policy quiescence contract.
-  const linalg::KernelPolicyGuard policy_guard(config.kernel_policy);
-
   std::vector<std::size_t> indices(data.x.rows());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   rng::Rng split_rng(config.split.seed);

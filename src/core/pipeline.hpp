@@ -37,12 +37,8 @@ struct PipelineConfig {
   /// verbatim into conformal::CqrConfig (and friends) wherever the pipeline
   /// builds a calibrated predictor.
   CalibrationSplit split;
-  /// Accuracy tier for the dense/tree compute kernels during this fit.
-  /// fit_screen scopes the process-wide policy to the fit via
-  /// linalg::KernelPolicyGuard: kBitExact (default) reproduces the reference
-  /// summation orders bit for bit; kFast enables the reassociated kernels
-  /// and histogram-binned split search (tolerance-gated, still
-  /// deterministic and thread-count invariant).
+  /// Single-valued; read only by the e2ebench refit replay (see the
+  /// KernelPolicy shim in linalg/kernels.hpp). Fits have one numeric path.
   linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::kBitExact;
 };
 

@@ -1,45 +1,23 @@
 #include "linalg/kernels.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-
 namespace vmincqr::linalg {
 namespace {
-
-KernelPolicy resolve_from_env() {
-  const char* env = std::getenv("VMINCQR_KERNEL_POLICY");
-  if (env != nullptr) {
-    const std::string name(env);
-    if (name == "fast") return KernelPolicy::kFast;
-    // Anything else (including typos) falls through to the safe tier: a
-    // misspelled env var must never silently relax bit-exactness the other
-    // way round, and "bit_exact" is the documented spelling.
-  }
-  return KernelPolicy::kBitExact;
-}
-
-/// Process-wide policy. Resolved from VMINCQR_KERNEL_POLICY once at startup;
-/// set_kernel_policy overwrites it. Like parallel::g_thread_override this is
-/// a plain global guarded by quiescence: writes happen only while no pool
-/// batch is in flight, and pool lanes observe the value through the
-/// happens-before edge of the batch-publish mutex.
-KernelPolicy g_policy = resolve_from_env();
 
 /// Rows of A processed together: one pass over a B row (or x) feeds this
 /// many output rows, cutting B/x traffic by the block factor while leaving
 /// every per-element accumulation order untouched.
 constexpr std::size_t kRowBlock = 4;
 
-// --- bit-exact tier --------------------------------------------------------
-//
+}  // namespace
+
 // Blocking here only re-uses loads; each c(i, j) still receives its k-terms
 // in ascending k starting from the caller's initial value, with the exact
 // same `a(i, k) == 0.0` skips as the scalar reference (a skipped term is not
 // a no-op in IEEE: x + 0.0 flips -0.0 to +0.0, so skips must match).
 
-void gemm_exact(std::size_t m, std::size_t k, std::size_t n, const double* a,
-                std::size_t lda, const double* b, std::size_t ldb, double* c,
-                std::size_t ldc) {
+void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
+          std::size_t lda, const double* b, std::size_t ldb, double* c,
+          std::size_t ldc) {
   for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
     const std::size_t i1 = i0 + kRowBlock < m ? i0 + kRowBlock : m;
     for (std::size_t kk = 0; kk < k; ++kk) {
@@ -55,9 +33,9 @@ void gemm_exact(std::size_t m, std::size_t k, std::size_t n, const double* a,
   }
 }
 
-void gemm_at_exact(std::size_t m, std::size_t k, std::size_t n,
-                   const double* a, std::size_t lda, const double* b,
-                   std::size_t ldb, double* c, std::size_t ldc) {
+void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
+             std::size_t lda, const double* b, std::size_t ldb, double* c,
+             std::size_t ldc) {
   // c(kk, j) accumulates over samples i in ascending order, skipping terms
   // whose B factor is exactly zero — the order and skip-set of the scalar
   // gradient loops this replaces (MLP backward skips dh == 0 samples).
@@ -77,8 +55,8 @@ void gemm_at_exact(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-void gemv_exact(std::size_t m, std::size_t n, const double* a,
-                std::size_t lda, const double* x, double* y) {
+void gemv(std::size_t m, std::size_t n, const double* a, std::size_t lda,
+          const double* x, double* y) {
   for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
     const std::size_t i1 = i0 + kRowBlock < m ? i0 + kRowBlock : m;
     double acc[kRowBlock] = {0.0, 0.0, 0.0, 0.0};
@@ -93,14 +71,14 @@ void gemv_exact(std::size_t m, std::size_t n, const double* a,
   }
 }
 
-double dot_exact(std::size_t n, const double* a, const double* b) {
+double dot_kernel(std::size_t n, const double* a, const double* b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
 
-void row_sq_dists_exact(const double* a, std::size_t d, const double* b,
-                        std::size_t ldb, std::size_t nb, double* out) {
+void row_sq_dists(const double* a, std::size_t d, const double* b,
+                  std::size_t ldb, std::size_t nb, double* out) {
   for (std::size_t j0 = 0; j0 < nb; j0 += kRowBlock) {
     const std::size_t j1 = j0 + kRowBlock < nb ? j0 + kRowBlock : nb;
     double acc[kRowBlock] = {0.0, 0.0, 0.0, 0.0};
@@ -113,166 +91,6 @@ void row_sq_dists_exact(const double* a, std::size_t d, const double* b,
       }
     }
     for (std::size_t r = 0; r < rows; ++r) out[j0 + r] = acc[r];
-  }
-}
-
-// --- fast tier -------------------------------------------------------------
-//
-// Reassociated: paired k-terms and split accumulators change the summation
-// tree (and the exact-zero skips are dropped), so results differ in the low
-// bits from the reference tier. Gated by tolerance + coverage-equivalence
-// tests, never bit comparison. Still fully deterministic: the summation
-// tree is fixed by the shapes alone, independent of threads or data.
-
-// vmincqr: numeric-tier(tolerance)
-void gemm_fast(std::size_t m, std::size_t k, std::size_t n, const double* a,
-               std::size_t lda, const double* b, std::size_t ldb, double* c,
-               std::size_t ldc) {
-  for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
-    const std::size_t i1 = i0 + kRowBlock < m ? i0 + kRowBlock : m;
-    std::size_t kk = 0;
-    // Paired k-steps: c gets (a0*b0 + a1*b1) per pass — half the c traffic.
-    for (; kk + 1 < k; kk += 2) {
-      const double* b0 = b + kk * ldb;
-      const double* b1 = b + (kk + 1) * ldb;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double a0 = a[i * lda + kk];
-        const double a1 = a[i * lda + kk + 1];
-        double* crow = c + i * ldc;
-        for (std::size_t j = 0; j < n; ++j) {
-          crow[j] += a0 * b0[j] + a1 * b1[j];
-        }
-      }
-    }
-    for (; kk < k; ++kk) {
-      const double* brow = b + kk * ldb;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double aik = a[i * lda + kk];
-        double* crow = c + i * ldc;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  }
-}
-
-// vmincqr: numeric-tier(tolerance)
-void gemm_at_fast(std::size_t m, std::size_t k, std::size_t n,
-                  const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc) {
-  // Unskipped, branch-free inner loop (vectorizable); zero B terms now feed
-  // the sum, which can flip -0.0 signs relative to the reference tier.
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    const double* brow = b + i * ldb;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = arow[kk];
-      double* crow = c + kk * ldc;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-// vmincqr: numeric-tier(tolerance)
-void gemv_fast(std::size_t m, std::size_t n, const double* a,
-               std::size_t lda, const double* x, double* y) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = a + i * lda;
-    double acc0 = 0.0, acc1 = 0.0;
-    std::size_t j = 0;
-    for (; j + 1 < n; j += 2) {
-      acc0 += row[j] * x[j];
-      acc1 += row[j + 1] * x[j + 1];
-    }
-    if (j < n) acc0 += row[j] * x[j];
-    y[i] = acc0 + acc1;
-  }
-}
-
-// vmincqr: numeric-tier(tolerance)
-double dot_fast(std::size_t n, const double* a, const double* b) {
-  double acc0 = 0.0, acc1 = 0.0;
-  std::size_t i = 0;
-  for (; i + 1 < n; i += 2) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-  }
-  if (i < n) acc0 += a[i] * b[i];
-  return acc0 + acc1;
-}
-
-// vmincqr: numeric-tier(tolerance)
-void row_sq_dists_fast(const double* a, std::size_t d, const double* b,
-                       std::size_t ldb, std::size_t nb, const double* b_norms,
-                       double* out) {
-  const double a_norm = dot_fast(d, a, a);
-  for (std::size_t j = 0; j < nb; ++j) {
-    const double cross = dot_fast(d, a, b + j * ldb);
-    // ||a - b||^2 = ||a||^2 - 2 a.b + ||b||^2; clamp the cancellation
-    // residue so a distance-of-self never goes (tiny) negative.
-    const double sq = a_norm - 2.0 * cross + b_norms[j];
-    out[j] = sq > 0.0 ? sq : 0.0;
-  }
-}
-
-}  // namespace
-
-KernelPolicy kernel_policy() noexcept { return g_policy; }
-
-void set_kernel_policy(KernelPolicy policy) noexcept { g_policy = policy; }
-
-std::string kernel_policy_name(KernelPolicy policy) {
-  return policy == KernelPolicy::kFast ? "fast" : "bit_exact";
-}
-
-KernelPolicy parse_kernel_policy(const std::string& name) {
-  if (name == "fast") return KernelPolicy::kFast;
-  if (name == "bit_exact") return KernelPolicy::kBitExact;
-  throw std::invalid_argument("unknown kernel policy '" + name +
-                              "' (expected \"bit_exact\" or \"fast\")");
-}
-
-void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
-          std::size_t lda, const double* b, std::size_t ldb, double* c,
-          std::size_t ldc, KernelPolicy policy) {
-  if (policy == KernelPolicy::kFast) {
-    gemm_fast(m, k, n, a, lda, b, ldb, c, ldc);
-  } else {
-    gemm_exact(m, k, n, a, lda, b, ldb, c, ldc);
-  }
-}
-
-void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, KernelPolicy policy) {
-  if (policy == KernelPolicy::kFast) {
-    gemm_at_fast(m, k, n, a, lda, b, ldb, c, ldc);
-  } else {
-    gemm_at_exact(m, k, n, a, lda, b, ldb, c, ldc);
-  }
-}
-
-void gemv(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-          const double* x, double* y, KernelPolicy policy) {
-  if (policy == KernelPolicy::kFast) {
-    gemv_fast(m, n, a, lda, x, y);
-  } else {
-    gemv_exact(m, n, a, lda, x, y);
-  }
-}
-
-double dot_kernel(std::size_t n, const double* a, const double* b,
-                  KernelPolicy policy) {
-  return policy == KernelPolicy::kFast ? dot_fast(n, a, b)
-                                       : dot_exact(n, a, b);
-}
-
-void row_sq_dists(const double* a, std::size_t d, const double* b,
-                  std::size_t ldb, std::size_t nb, const double* b_norms,
-                  double* out, KernelPolicy policy) {
-  if (policy == KernelPolicy::kFast && b_norms != nullptr) {
-    row_sq_dists_fast(a, d, b, ldb, nb, b_norms, out);
-  } else {
-    row_sq_dists_exact(a, d, b, ldb, nb, out);
   }
 }
 

@@ -11,11 +11,10 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   VMINCQR_CHECK_SHAPE(a.cols() == b.rows(), "matmul: " + shape_string(a) +
                                                  " * " + shape_string(b));
   Matrix out(a.rows(), b.cols(), 0.0);
-  // The exact kernel tier keeps the classic i-k-j per-element order and the
-  // lossless exact-zero skip on A, so the default tier matches the old
-  // scalar loop bit for bit.
+  // The kernel keeps the classic i-k-j per-element order and the lossless
+  // exact-zero skip on A, so it matches the old scalar loop bit for bit.
   gemm(a.rows(), a.cols(), b.cols(), a.row_ptr(0), a.cols(), b.row_ptr(0),
-       b.cols(), out.row_ptr(0), out.cols(), kernel_policy());
+       b.cols(), out.row_ptr(0), out.cols());
   return out;
 }
 
@@ -24,9 +23,8 @@ Vector matvec(const Matrix& a, const Vector& x) {
                       "matvec: " + shape_string(a) + " * vector of " +
                           std::to_string(x.size()));
   Vector out(a.rows(), 0.0);
-  // Exact tier: per-row ascending-j accumulation, as the old loop.
-  gemv(a.rows(), a.cols(), a.row_ptr(0), a.cols(), x.data(), out.data(),
-       kernel_policy());
+  // Per-row ascending-j accumulation, as the old loop.
+  gemv(a.rows(), a.cols(), a.row_ptr(0), a.cols(), x.data(), out.data());
   return out;
 }
 
@@ -65,8 +63,8 @@ Vector transpose_matvec(const Matrix& a, const Vector& y) {
 
 double dot(const Vector& a, const Vector& b) {
   VMINCQR_CHECK_SHAPE(a.size() == b.size(), "dot: length mismatch");
-  // Exact tier: single ascending-order accumulator, as the old loop.
-  return dot_kernel(a.size(), a.data(), b.data(), kernel_policy());
+  // Single ascending-order accumulator, as the old loop.
+  return dot_kernel(a.size(), a.data(), b.data());
 }
 
 double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }

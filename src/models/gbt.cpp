@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/binning.hpp"
-#include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile.hpp"
@@ -47,23 +45,9 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
   Vector grad(n), hess(n);
   trees_.reserve(static_cast<std::size_t>(config_.n_rounds));
 
-  // Both split searches prepare the design once for all rounds. Exact tier:
-  // the per-feature (value, row) order every round's tree scans — x never
-  // changes across rounds, so neither does its sort. Fast tier: pre-binned
-  // codes, and every round's split search runs over histograms instead. The
-  // binner is a pure function of x, so fits stay deterministic and
-  // thread-count invariant — they just choose (slightly) different trees
-  // than the bit-exact tier, which is why the policy gates them.
-  const bool binned = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
-  core::FeatureBinner binner;
-  std::vector<std::uint16_t> codes;
-  std::vector<std::size_t> order;
-  if (binned) {
-    binner.fit(x);
-    codes = binner.bin(x);
-  } else {
-    order = RegressionTree::presort(x);
-  }
+  // The per-feature (value, row) order every round's tree scans, computed
+  // once: x never changes across rounds, so neither does its sort.
+  const std::vector<std::size_t> order = RegressionTree::presort(x);
 
   const bool parallel_rows = n >= kMinParallelRows;
   for (int round = 0; round < config_.n_rounds; ++round) {
@@ -77,11 +61,7 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
         },
         parallel_rows);
     RegressionTree tree;
-    if (binned) {
-      tree.fit_binned(x, grad, hess, config_.tree, binner, codes);
-    } else {
-      tree.fit(x, grad, hess, config_.tree, order);
-    }
+    tree.fit(x, grad, hess, config_.tree, order);
 
     if (config_.loss.kind == LossKind::kPinball) {
       // Leaf-quantile refit: set each leaf to the loss-optimal constant for

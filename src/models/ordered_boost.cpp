@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/binning.hpp"
-#include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile.hpp"
@@ -30,66 +28,6 @@ constexpr std::size_t kMinParallelSplitWork = 4096;
 
 /// Batch size below which predict stays single-shard (matches gbt.cpp).
 constexpr std::size_t kMinParallelRows = 256;
-
-/// Fast-tier oblivious level search: one pass over the samples fills a
-/// per-(bin, partition) G/H histogram per feature, then every border's score
-/// falls out of an ascending prefix sweep — O(n + borders x partitions) per
-/// feature instead of the exact path's O(n x borders) rescans. Deterministic
-/// and thread-count invariant, but the per-partition sums accumulate in bin
-/// order rather than row order, so scores (and therefore chosen splits) can
-/// differ from the exact tier in the last bits.
-// vmincqr: numeric-tier(tolerance)
-LevelCandidate search_level_binned(
-    const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
-    std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
-    const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
-    const std::vector<double>& h_tot, double l2, bool use_pool) {
-  const std::size_t parts = g_tot.size();
-  return parallel::parallel_deterministic_reduce(
-      d, /*grain=*/1, LevelCandidate{},
-      [&](std::size_t f_begin, std::size_t f_end) {
-        LevelCandidate local;
-        std::vector<double> g_bin, h_bin;
-        std::vector<double> g_left(parts), h_left(parts);
-        for (std::size_t f = f_begin; f < f_end; ++f) {
-          const std::vector<double>& edges = binner.edges(f);
-          if (edges.empty()) continue;  // constant feature
-          const std::size_t bins = edges.size() + 1;
-          g_bin.assign(bins * parts, 0.0);
-          h_bin.assign(bins * parts, 0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t cell = codes[i * d + f] * parts + leaf_of[i];
-            g_bin[cell] += grad[i];
-            h_bin[cell] += hess[i];
-          }
-          std::fill(g_left.begin(), g_left.end(), 0.0);
-          std::fill(h_left.begin(), h_left.end(), 0.0);
-          for (std::size_t b = 0; b < edges.size(); ++b) {
-            for (std::size_t p = 0; p < parts; ++p) {
-              g_left[p] += g_bin[b * parts + p];
-              h_left[p] += h_bin[b * parts + p];
-            }
-            double score = 0.0;
-            for (std::size_t p = 0; p < parts; ++p) {
-              const double gl = g_left[p], hl = h_left[p];
-              const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
-              score += gl * gl / (hl + l2) + gr * gr / (hr + l2);
-            }
-            if (score > local.score) {
-              local.score = score;
-              local.feature = f;
-              local.threshold = edges[b];
-              local.found = true;
-            }
-          }
-        }
-        return local;
-      },
-      [](LevelCandidate acc, LevelCandidate part) {
-        return part.score > acc.score ? part : acc;
-      },
-      use_pool);
-}
 
 }  // namespace
 
@@ -153,17 +91,6 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
 
   const auto borders = compute_borders(x);
 
-  // Fast kernel tier: pre-bin x by the borders once, so each level's split
-  // search runs over histograms (search_level_binned) instead of rescanning
-  // every (feature, border) pair against the raw columns.
-  const bool hist = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
-  core::FeatureBinner binner;
-  std::vector<std::uint16_t> codes;
-  if (hist) {
-    binner.import_edges(borders);
-    codes = binner.bin(x);
-  }
-
   feature_gains_.assign(n_features_, 0.0);
   rng::Rng rng(config_.seed);
   const std::vector<std::size_t> fixed_perm = rng.permutation(n);
@@ -206,11 +133,7 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
       // accumulators; per-chunk bests fold in ascending feature order, so
       // the winner matches a sequential scan at every thread count.
       const bool use_pool = n * x.cols() >= kMinParallelSplitWork;
-      const LevelCandidate best =
-          hist ? search_level_binned(binner, codes, n, x.cols(), grad, hess,
-                                     leaf_of, g_tot, h_tot,
-                                     config_.l2_leaf_reg, use_pool)
-               : parallel::parallel_deterministic_reduce(
+      const LevelCandidate best = parallel::parallel_deterministic_reduce(
           x.cols(), /*grain=*/1, LevelCandidate{},
           [&](std::size_t f_begin, std::size_t f_end) {
             LevelCandidate local;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/binning.hpp"
 #include "linalg/matrix.hpp"
 #include "models/flat_forest.hpp"
 
@@ -62,18 +61,6 @@ class RegressionTree {
   void fit(const Matrix& x, const Vector& grad, const Vector& hess,
            const TreeConfig& config, const std::vector<std::size_t>& order);
 
-  /// Histogram-split variant of fit(): the split search scans pre-binned
-  /// codes (one G/H/count histogram per feature, O(n + bins) instead of the
-  /// exact O(n) scan of a presorted order), with candidate thresholds limited
-  /// to the binner's edges. Fully deterministic and thread-count invariant,
-  /// but the chosen splits can differ from fit()'s exact scan — fast-tier
-  /// only (linalg::KernelPolicy::kFast fit paths route here).
-  /// `codes` is the binner's row-major code matrix for x; throws
-  /// std::invalid_argument on shape mismatch with x or the binner.
-  void fit_binned(const Matrix& x, const Vector& grad, const Vector& hess,
-                  const TreeConfig& config, const core::FeatureBinner& binner,
-                  const std::vector<std::uint16_t>& codes);
-
   /// Prediction for one feature row of length d (must equal the training
   /// feature count; unchecked hot path).
   [[nodiscard]] double predict_row(const double* row) const;
@@ -113,7 +100,7 @@ class RegressionTree {
   void import_nodes(std::vector<TreeNode> nodes);
 
   /// The single-tree SoA planes predict() traverses (rebuilt by fit /
-  /// fit_binned / import_nodes, kept in sync by set_leaf_value). Ensemble
+  /// import_nodes, kept in sync by set_leaf_value). Ensemble
   /// models build their own multi-tree FlatForest from nodes() instead.
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
@@ -125,14 +112,7 @@ class RegressionTree {
                      const TreeConfig& config, std::vector<std::size_t>& rows,
                      std::size_t begin, int depth);
 
-  std::int32_t build_binned(const Vector& grad, const Vector& hess,
-                            const TreeConfig& config,
-                            const core::FeatureBinner& binner,
-                            const std::vector<std::uint16_t>& codes,
-                            std::size_t n_features,
-                            std::vector<std::size_t>& rows, int depth);
-
-  /// Fit-time scratch of the exact search, sized by fit() and released
+  /// Fit-time scratch of the split search, sized by fit() and released
   /// before it returns. order_scratch_ holds two copies of the presorted
   /// order: a node at depth k scans its segment of buffer k % 2 and
   /// partitions it into the same positions of the other buffer, where its

@@ -1,41 +1,22 @@
-// Kernel-layer tests: KernelPolicy plumbing, bit-exact tier equivalence
-// against the scalar reference loops, fast-tier tolerance, flat-forest
-// traversal equivalence, FeatureBinner edge cases, and fast-tier fit
-// equivalence at the statistical level (predictions, q_hat, coverage).
+// Kernel-layer tests: bitwise equivalence of the dense micro-kernels with
+// the scalar reference loops, and flat-forest traversal equivalence.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
-#include "conformal/cqr.hpp"
-#include "core/binning.hpp"
-#include "core/pipeline.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/ops.hpp"
-#include "models/flat_forest.hpp"
+#include "linalg/matrix.hpp"
 #include "models/gbt.hpp"
-#include "models/gp.hpp"
-#include "models/mlp.hpp"
 #include "models/ordered_boost.hpp"
-#include "models/tree.hpp"
-#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
-#include "stats/metrics.hpp"
 
 using namespace vmincqr;
 
 namespace {
 
-using linalg::KernelPolicy;
-
-struct ThreadOverrideGuard {
-  ~ThreadOverrideGuard() { parallel::set_max_threads(0); }
-};
-
-/// Random buffer with exact zeros sprinkled in: the bit-exact kernels must
+/// Random buffer with exact zeros sprinkled in: the kernels must
 /// reproduce the reference skip-set, which only exact zeros exercise.
 std::vector<double> random_with_zeros(std::size_t n, rng::Rng& rng) {
   std::vector<double> out(n);
@@ -62,32 +43,7 @@ Problem make_problem(std::size_t n, std::size_t d, std::uint64_t seed) {
   return p;
 }
 
-// --- policy plumbing --------------------------------------------------------
-
-TEST(KernelPolicy, ParseAndNameRoundTrip) {
-  EXPECT_EQ(linalg::parse_kernel_policy("fast"), KernelPolicy::kFast);
-  EXPECT_EQ(linalg::parse_kernel_policy("bit_exact"), KernelPolicy::kBitExact);
-  EXPECT_THROW((void)linalg::parse_kernel_policy("fastest"),
-               std::invalid_argument);
-  EXPECT_EQ(linalg::kernel_policy_name(KernelPolicy::kFast), "fast");
-  EXPECT_EQ(linalg::kernel_policy_name(KernelPolicy::kBitExact), "bit_exact");
-}
-
-TEST(KernelPolicy, GuardScopesAndRestores) {
-  const KernelPolicy before = linalg::kernel_policy();
-  {
-    const linalg::KernelPolicyGuard guard(KernelPolicy::kFast);
-    EXPECT_EQ(linalg::kernel_policy(), KernelPolicy::kFast);
-    {
-      const linalg::KernelPolicyGuard inner(KernelPolicy::kBitExact);
-      EXPECT_EQ(linalg::kernel_policy(), KernelPolicy::kBitExact);
-    }
-    EXPECT_EQ(linalg::kernel_policy(), KernelPolicy::kFast);
-  }
-  EXPECT_EQ(linalg::kernel_policy(), before);
-}
-
-// --- bit-exact tier: bitwise equality with the scalar reference loops -------
+// --- bitwise equality with the scalar reference loops ----------------------
 
 TEST(KernelsExact, GemmMatchesScalarReferenceBitwise) {
   rng::Rng rng(11);
@@ -107,8 +63,7 @@ TEST(KernelsExact, GemmMatchesScalarReferenceBitwise) {
         }
       }
     }
-    linalg::gemm(m, k, n, a.data(), k, b.data(), n, c_kernel.data(), n,
-                 KernelPolicy::kBitExact);
+    linalg::gemm(m, k, n, a.data(), k, b.data(), n, c_kernel.data(), n);
     for (std::size_t i = 0; i < m * n; ++i) {
       ASSERT_EQ(c_kernel[i], c_ref[i]) << m << "x" << k << "x" << n
                                        << " element " << i;
@@ -131,8 +86,7 @@ TEST(KernelsExact, GemmAtMatchesScalarReferenceBitwise) {
       }
     }
   }
-  linalg::gemm_at(m, k, n, a.data(), k, b.data(), n, c_kernel.data(), n,
-                  KernelPolicy::kBitExact);
+  linalg::gemm_at(m, k, n, a.data(), k, b.data(), n, c_kernel.data(), n);
   for (std::size_t i = 0; i < k * n; ++i) {
     ASSERT_EQ(c_kernel[i], c_ref[i]) << "element " << i;
   }
@@ -149,14 +103,12 @@ TEST(KernelsExact, GemvAndDotMatchScalarReferenceBitwise) {
     for (std::size_t j = 0; j < n; ++j) acc += a[i * n + j] * x[j];
     y_ref[i] = acc;
   }
-  linalg::gemv(m, n, a.data(), n, x.data(), y_kernel.data(),
-               KernelPolicy::kBitExact);
+  linalg::gemv(m, n, a.data(), n, x.data(), y_kernel.data());
   for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(y_kernel[i], y_ref[i]);
 
   double dot_ref = 0.0;
   for (std::size_t j = 0; j < n; ++j) dot_ref += x[j] * a[j];
-  EXPECT_EQ(linalg::dot_kernel(n, x.data(), a.data(), KernelPolicy::kBitExact),
-            dot_ref);
+  EXPECT_EQ(linalg::dot_kernel(n, x.data(), a.data()), dot_ref);
 }
 
 TEST(KernelsExact, RowSqDistsMatchesScalarReferenceBitwise) {
@@ -173,64 +125,8 @@ TEST(KernelsExact, RowSqDistsMatchesScalarReferenceBitwise) {
     }
     out_ref[j] = acc;
   }
-  linalg::row_sq_dists(a.data(), d, b.data(), d, nb, nullptr,
-                       out_kernel.data(), KernelPolicy::kBitExact);
+  linalg::row_sq_dists(a.data(), d, b.data(), d, nb, out_kernel.data());
   for (std::size_t j = 0; j < nb; ++j) ASSERT_EQ(out_kernel[j], out_ref[j]);
-}
-
-// --- fast tier: tolerance against the exact tier ----------------------------
-
-TEST(KernelsFast, AllKernelsWithinTolerance) {
-  rng::Rng rng(15);
-  const std::size_t m = 15, k = 17, n = 12;
-  const auto a = random_with_zeros(m * k, rng);
-  const auto b = random_with_zeros(k * n, rng);
-  std::vector<double> c_exact(m * n, 0.0), c_fast(m * n, 0.0);
-  linalg::gemm(m, k, n, a.data(), k, b.data(), n, c_exact.data(), n,
-               KernelPolicy::kBitExact);
-  linalg::gemm(m, k, n, a.data(), k, b.data(), n, c_fast.data(), n,
-               KernelPolicy::kFast);
-  for (std::size_t i = 0; i < m * n; ++i) {
-    ASSERT_NEAR(c_fast[i], c_exact[i], 1e-12);
-  }
-
-  const auto bt = random_with_zeros(m * n, rng);
-  std::vector<double> g_exact(k * n, 0.0), g_fast(k * n, 0.0);
-  linalg::gemm_at(m, k, n, a.data(), k, bt.data(), n, g_exact.data(), n,
-                  KernelPolicy::kBitExact);
-  linalg::gemm_at(m, k, n, a.data(), k, bt.data(), n, g_fast.data(), n,
-                  KernelPolicy::kFast);
-  for (std::size_t i = 0; i < k * n; ++i) {
-    ASSERT_NEAR(g_fast[i], g_exact[i], 1e-12);
-  }
-
-  const auto x = random_with_zeros(k, rng);
-  std::vector<double> y_exact(m), y_fast(m);
-  linalg::gemv(m, k, a.data(), k, x.data(), y_exact.data(),
-               KernelPolicy::kBitExact);
-  linalg::gemv(m, k, a.data(), k, x.data(), y_fast.data(), KernelPolicy::kFast);
-  for (std::size_t i = 0; i < m; ++i) ASSERT_NEAR(y_fast[i], y_exact[i], 1e-12);
-
-  // Distances: the fast tier's norm expansion cancels catastrophically only
-  // for near-identical rows, which the clamp keeps at >= 0.
-  const std::size_t d = 10, nb = 8;
-  const auto pa = random_with_zeros(d, rng);
-  auto pb = random_with_zeros(nb * d, rng);
-  for (std::size_t c = 0; c < d; ++c) pb[3 * d + c] = pa[c];  // self-distance
-  std::vector<double> norms(nb);
-  for (std::size_t j = 0; j < nb; ++j) {
-    norms[j] = linalg::dot_kernel(d, pb.data() + j * d, pb.data() + j * d,
-                                  KernelPolicy::kFast);
-  }
-  std::vector<double> d_exact(nb), d_fast(nb);
-  linalg::row_sq_dists(pa.data(), d, pb.data(), d, nb, nullptr, d_exact.data(),
-                       KernelPolicy::kBitExact);
-  linalg::row_sq_dists(pa.data(), d, pb.data(), d, nb, norms.data(),
-                       d_fast.data(), KernelPolicy::kFast);
-  for (std::size_t j = 0; j < nb; ++j) {
-    ASSERT_NEAR(d_fast[j], d_exact[j], 1e-10);
-    ASSERT_GE(d_fast[j], 0.0);
-  }
 }
 
 // --- flat forests -----------------------------------------------------------
@@ -276,268 +172,6 @@ TEST(FlatForest, OrderedBoostPredictMatchesPerTreeTraversal) {
     }
     ASSERT_EQ(got[i], want) << "row " << i;
   }
-}
-
-// --- FeatureBinner edge cases -----------------------------------------------
-
-TEST(FeatureBinner, ConstantFeatureGetsSingleBin) {
-  linalg::Matrix x(40, 2);
-  rng::Rng rng(31);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 0) = 3.25;  // constant
-    x(i, 1) = rng.normal();
-  }
-  core::FeatureBinner binner;
-  binner.fit(x);
-  ASSERT_TRUE(binner.fitted());
-  EXPECT_EQ(binner.n_bins(0), 1u);
-  EXPECT_GT(binner.n_bins(1), 1u);
-  const auto codes = binner.bin(x);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    EXPECT_EQ(codes[i * 2 + 0], 0u);
-  }
-}
-
-TEST(FeatureBinner, BinOfAgreesWithEdgeComparisonIncludingTies) {
-  // The split-equivalence invariant: bin_of(f, v) <= b  <=>  v <= edge(f, b),
-  // exercised with values exactly ON bin edges (ties) and beyond both ends.
-  linalg::Matrix x(64, 1);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 0) = static_cast<double>(i / 4);  // 16 distinct values, 4-way ties
-  }
-  core::FeatureBinner binner;
-  binner.fit(x);
-  std::vector<double> probes;
-  for (std::size_t b = 0; b + 1 < binner.n_bins(0); ++b) {
-    probes.push_back(binner.edge(0, b));  // exactly on the edge
-    probes.push_back(std::nextafter(binner.edge(0, b), 1e300));
-  }
-  probes.push_back(-1e9);
-  probes.push_back(1e9);
-  for (const double v : probes) {
-    const std::uint16_t code = binner.bin_of(0, v);
-    for (std::size_t b = 0; b + 1 < binner.n_bins(0); ++b) {
-      EXPECT_EQ(code <= b, v <= binner.edge(0, b))
-          << "value " << v << " vs edge " << b;
-    }
-  }
-}
-
-TEST(FeatureBinner, FewerDistinctValuesThanBinsUsesAllMidpoints) {
-  linalg::Matrix x(30, 1);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 0) = static_cast<double>(i % 5);  // 5 distinct values
-  }
-  core::FeatureBinner binner;
-  binner.fit(x, /*max_bins=*/64);
-  EXPECT_EQ(binner.n_bins(0), 5u);  // 4 midpoint edges separate 5 values
-  const auto codes = binner.bin(x);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    EXPECT_EQ(codes[i], static_cast<std::uint16_t>(i % 5));
-  }
-}
-
-TEST(FeatureBinner, SingleRowDatasetFitsWithZeroEdges) {
-  linalg::Matrix x(1, 3);
-  x(0, 0) = 1.0;
-  x(0, 1) = -2.0;
-  x(0, 2) = 0.0;
-  core::FeatureBinner binner;
-  binner.fit(x);
-  ASSERT_TRUE(binner.fitted());
-  for (std::size_t f = 0; f < 3; ++f) EXPECT_EQ(binner.n_bins(f), 1u);
-  const auto codes = binner.bin(x);
-  EXPECT_EQ(codes, (std::vector<std::uint16_t>{0, 0, 0}));
-}
-
-TEST(FeatureBinner, ImportEdgesRejectsUnsortedAndNonFinite) {
-  core::FeatureBinner binner;
-  EXPECT_THROW(binner.import_edges({{1.0, 0.5}}), std::invalid_argument);
-  EXPECT_THROW(binner.import_edges({{0.0, std::nan("")}}),
-               std::invalid_argument);
-}
-
-// --- fast tier at the model level -------------------------------------------
-
-TEST(FastTier, BinnedFitsAreDeterministicAndThreadCountInvariant) {
-  const Problem p = make_problem(320, 13, 41);
-  const linalg::KernelPolicyGuard policy(KernelPolicy::kFast);
-  ThreadOverrideGuard threads;
-
-  const auto fit_predict = [&]() {
-    models::GbtConfig config;
-    config.n_rounds = 10;
-    models::GradientBoostedTrees model(config);
-    model.fit(p.x, p.y);
-    return model.predict(p.x);
-  };
-  parallel::set_max_threads(1);
-  const linalg::Vector reference = fit_predict();
-  for (const std::size_t width : {std::size_t{2}, std::size_t{3},
-                                  std::size_t{8}}) {
-    parallel::set_max_threads(width);
-    const linalg::Vector got = fit_predict();
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], reference[i])
-          << "row " << i << " differs at " << width << " threads";
-    }
-  }
-}
-
-TEST(FastTier, OrderedBoostBinnedFitIsThreadCountInvariant) {
-  const Problem p = make_problem(300, 9, 42);
-  const linalg::KernelPolicyGuard policy(KernelPolicy::kFast);
-  ThreadOverrideGuard threads;
-
-  const auto fit_predict = [&]() {
-    models::OrderedBoostConfig config;
-    config.n_rounds = 8;
-    models::OrderedBoostedTrees model(config);
-    model.fit(p.x, p.y);
-    return model.predict(p.x);
-  };
-  parallel::set_max_threads(1);
-  const linalg::Vector reference = fit_predict();
-  parallel::set_max_threads(3);
-  const linalg::Vector got = fit_predict();
-  ASSERT_EQ(got.size(), reference.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], reference[i]) << "row " << i;
-  }
-}
-
-TEST(FastTier, GbtPredictionsStayCloseToExactTier) {
-  const Problem p = make_problem(360, 8, 43);
-  models::GbtConfig config;
-  config.n_rounds = 20;
-
-  models::GradientBoostedTrees exact(config);
-  exact.fit(p.x, p.y);
-  const linalg::Vector pred_exact = exact.predict(p.x);
-
-  models::GradientBoostedTrees fast(config);
-  {
-    const linalg::KernelPolicyGuard policy(KernelPolicy::kFast);
-    fast.fit(p.x, p.y);
-  }
-  const linalg::Vector pred_fast = fast.predict(p.x);
-
-  // Histogram splits pick (slightly) different trees; the fits must agree
-  // statistically, not bitwise. Compare residual scales.
-  double sse_exact = 0.0, sse_fast = 0.0;
-  for (std::size_t i = 0; i < p.y.size(); ++i) {
-    sse_exact += (p.y[i] - pred_exact[i]) * (p.y[i] - pred_exact[i]);
-    sse_fast += (p.y[i] - pred_fast[i]) * (p.y[i] - pred_fast[i]);
-  }
-  EXPECT_LT(std::sqrt(sse_fast / static_cast<double>(p.y.size())),
-            2.0 * std::sqrt(sse_exact / static_cast<double>(p.y.size())) +
-                1e-4);
-}
-
-TEST(FastTier, GpPosteriorWithinTolerance) {
-  const Problem p = make_problem(140, 5, 44);
-  models::GpConfig config;
-
-  models::GaussianProcessRegressor exact(config);
-  exact.fit(p.x, p.y);
-  const linalg::Vector pred_exact = exact.predict(p.x);
-
-  models::GaussianProcessRegressor fast(config);
-  linalg::Vector pred_fast;
-  {
-    const linalg::KernelPolicyGuard policy(KernelPolicy::kFast);
-    fast.fit(p.x, p.y);
-    pred_fast = fast.predict(p.x);
-  }
-  ASSERT_EQ(pred_fast.size(), pred_exact.size());
-  for (std::size_t i = 0; i < pred_exact.size(); ++i) {
-    ASSERT_NEAR(pred_fast[i], pred_exact[i], 1e-6) << "row " << i;
-  }
-}
-
-TEST(FastTier, MlpFitStaysStatisticallyEquivalent) {
-  const Problem p = make_problem(200, 6, 45);
-  models::MlpConfig config;
-  config.epochs = 300;
-
-  models::MlpRegressor exact(config);
-  exact.fit(p.x, p.y);
-  const linalg::Vector pred_exact = exact.predict(p.x);
-
-  models::MlpRegressor fast(config);
-  linalg::Vector pred_fast;
-  {
-    const linalg::KernelPolicyGuard policy(KernelPolicy::kFast);
-    fast.fit(p.x, p.y);
-    pred_fast = fast.predict(p.x);
-  }
-  double sse_exact = 0.0, sse_fast = 0.0;
-  for (std::size_t i = 0; i < p.y.size(); ++i) {
-    sse_exact += (p.y[i] - pred_exact[i]) * (p.y[i] - pred_exact[i]);
-    sse_fast += (p.y[i] - pred_fast[i]) * (p.y[i] - pred_fast[i]);
-  }
-  EXPECT_LT(std::sqrt(sse_fast / static_cast<double>(p.y.size())),
-            2.0 * std::sqrt(sse_exact / static_cast<double>(p.y.size())) +
-                1e-4);
-}
-
-TEST(FastTier, PipelineCoverageAndQhatEquivalence) {
-  // The acceptance battery for the fast tier: a full fit_screen under each
-  // policy must produce equivalent STATISTICS — calibrated q_hats of the
-  // same magnitude, and empirical coverage within sampling noise of each
-  // other on fresh data. (Bitwise equality is the bit-exact tier's bar, not
-  // this one.)
-  const Problem train = make_problem(420, 7, 46);
-  const Problem fresh = make_problem(500, 7, 47);
-
-  core::ScenarioData data;
-  data.x = train.x;
-  data.y = train.y;
-  data.columns.resize(7);
-  for (std::size_t c = 0; c < 7; ++c) data.columns[c] = c;
-
-  core::PipelineConfig exact_config;
-  exact_config.alpha = core::MiscoverageAlpha{0.2};
-  exact_config.kernel_policy = KernelPolicy::kBitExact;
-  core::PipelineConfig fast_config = exact_config;
-  fast_config.kernel_policy = KernelPolicy::kFast;
-
-  // fit_screen scopes its policy and must restore whatever was ambient —
-  // which is kFast, not kBitExact, when the suite runs under
-  // VMINCQR_KERNEL_POLICY=fast (the CI fast-tier leg).
-  const KernelPolicy ambient = linalg::kernel_policy();
-  const auto exact_screen = core::fit_screen(data, models::ModelKind::kXgboost,
-                                             exact_config, 7);
-  EXPECT_EQ(linalg::kernel_policy(), ambient)
-      << "fit_screen must restore the process-wide policy";
-  const auto fast_screen = core::fit_screen(data, models::ModelKind::kXgboost,
-                                            fast_config, 7);
-  EXPECT_EQ(linalg::kernel_policy(), ambient)
-      << "fit_screen must restore the process-wide policy";
-
-  const double q_exact = exact_screen.predictor->q_hat();
-  const double q_fast = fast_screen.predictor->q_hat();
-  EXPECT_TRUE(std::isfinite(q_exact));
-  EXPECT_TRUE(std::isfinite(q_fast));
-  // Same order of magnitude: the conformal correction tracks the same
-  // noise scale under both tiers.
-  EXPECT_LT(std::abs(q_fast - q_exact), 0.05);
-
-  const auto eval = [&fresh](const core::FittedScreen& screen) {
-    const auto band = screen.predictor->predict_interval(
-        fresh.x.take_cols(screen.selected));
-    return stats::interval_coverage(fresh.y, band.lower, band.upper);
-  };
-  const double cov_exact = eval(exact_screen);
-  const double cov_fast = eval(fast_screen);
-  // CQR's finite-sample guarantee holds under either tier. The cross-tier
-  // gap bundles sampling noise AND model variance (histogram splits pick
-  // different trees than the exact scan), so the band is wider than a pure
-  // binomial bound — the point is the tiers cannot diverge wildly.
-  EXPECT_GT(cov_exact, 0.70);
-  EXPECT_GT(cov_fast, 0.70);
-  EXPECT_LT(std::abs(cov_fast - cov_exact), 0.12);
 }
 
 }  // namespace

@@ -355,9 +355,9 @@ std::uint64_t bits_digest(const std::vector<std::uint64_t>& words) {
 }
 
 /// Asserts `compute` hashes to `pinned` at width 1 and at the full pool
-/// (width 0). The constants were captured from the model code before the
-/// dense kernels lost their accuracy-tier parameter; they pin the
-/// kernel-calling fits outside fit_screen, which CqrRefitGrid never reaches.
+/// (width 0). The constants pin the direct fits that call the dense kernels
+/// and the split searches outside fit_screen, which CqrRefitGrid never
+/// reaches; any change to their numeric path moves a digest.
 void expect_pinned_digest(
     std::uint64_t pinned,
     const std::function<std::vector<std::uint64_t>()>& compute) {
