@@ -1,5 +1,7 @@
 #include "daemon/bundle_cache.hpp"
 
+#include <utility>
+
 #include "core/contracts.hpp"
 
 namespace vmincqr::daemon {
@@ -24,16 +26,23 @@ std::shared_ptr<const serve::VminPredictor> BundleCache::get(
 void BundleCache::put(const std::string& key,
                       std::shared_ptr<const serve::VminPredictor> predictor) {
   VMINCQR_REQUIRE(predictor != nullptr, "BundleCache: null predictor");
+  // The bundle this put displaces (the key's previous predictor, or the LRU
+  // victim) may be the last reference to a decoded model. `displaced` is
+  // declared before the lock, so it is destroyed after the unlock, as in
+  // SwapCell::store: get() never waits on a model teardown.
+  std::shared_ptr<const serve::VminPredictor> displaced;
   const parallel::ScopedLock lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(predictor);
+    displaced = std::exchange(it->second->second, std::move(predictor));
     order_.splice(order_.begin(), order_, it->second);
     return;
   }
   order_.emplace_front(key, std::move(predictor));
   index_[key] = order_.begin();
-  while (order_.size() > capacity_) {
+  // One insertion overfills a full cache by exactly one entry.
+  if (order_.size() > capacity_) {
+    displaced = std::move(order_.back().second);
     index_.erase(order_.back().first);
     order_.pop_back();
     ++stats_.evictions;

@@ -80,6 +80,9 @@ std::uint64_t VminDaemon::publish(
     std::shared_ptr<const serve::VminPredictor> predictor, bool is_install) {
   VMINCQR_REQUIRE(predictor != nullptr, "VminDaemon: null predictor");
   std::uint64_t id = 0;
+  // The epoch this publish replaces retires after control_mutex_ is
+  // released, in case it holds the last reference to its bundle.
+  std::shared_ptr<const Epoch> retired;
   {
     const parallel::ScopedLock lock(control_mutex_);
     id = next_epoch_id_;
@@ -87,7 +90,7 @@ std::uint64_t VminDaemon::publish(
     auto epoch = std::make_shared<Epoch>();
     epoch->id = id;
     epoch->predictor = std::move(predictor);
-    epoch_cell_.store(std::move(epoch));
+    retired = epoch_cell_.exchange(std::move(epoch));
   }
   {
     const parallel::ScopedLock lock(stats_mutex_);

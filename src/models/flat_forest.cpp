@@ -104,6 +104,55 @@ inline std::int32_t step(const double* row, const std::int32_t* feature,
          static_cast<std::int32_t>(row[feature[idx]] > threshold[idx]);
 }
 
+/// *out += scale * (leaf value of each tree in [0, n_trees)), in tree order,
+/// for ONE row. Eight trees walk abreast to the deepest of the eight (the
+/// shallower ones park on their self-looping leaves), so a lone row still
+/// has eight independent load chains in flight; their leaves are then added
+/// in tree order, the same summation order as the row-interleaved path.
+void accumulate_row_tree_interleaved(
+    const double* row, const std::int32_t* roots, const std::int32_t* depths,
+    std::size_t n_trees, const std::int32_t* feature, const double* threshold,
+    const std::int32_t* child, const double* value, double scale,
+    double* out) {
+  double acc = *out;
+  std::size_t t = 0;
+  for (; t + 8 <= n_trees; t += 8) {
+    std::int32_t depth = depths[t];
+    for (std::size_t k = 1; k < 8; ++k) {
+      depth = depths[t + k] > depth ? depths[t + k] : depth;
+    }
+    std::int32_t i0 = roots[t + 0], i1 = roots[t + 1], i2 = roots[t + 2];
+    std::int32_t i3 = roots[t + 3], i4 = roots[t + 4], i5 = roots[t + 5];
+    std::int32_t i6 = roots[t + 6], i7 = roots[t + 7];
+    for (std::int32_t d = 0; d < depth; ++d) {
+      i0 = step(row, feature, threshold, child, i0);
+      i1 = step(row, feature, threshold, child, i1);
+      i2 = step(row, feature, threshold, child, i2);
+      i3 = step(row, feature, threshold, child, i3);
+      i4 = step(row, feature, threshold, child, i4);
+      i5 = step(row, feature, threshold, child, i5);
+      i6 = step(row, feature, threshold, child, i6);
+      i7 = step(row, feature, threshold, child, i7);
+    }
+    acc += scale * value[i0];
+    acc += scale * value[i1];
+    acc += scale * value[i2];
+    acc += scale * value[i3];
+    acc += scale * value[i4];
+    acc += scale * value[i5];
+    acc += scale * value[i6];
+    acc += scale * value[i7];
+  }
+  for (; t < n_trees; ++t) {
+    std::int32_t idx = roots[t];
+    for (std::int32_t d = 0; d < depths[t]; ++d) {
+      idx = step(row, feature, threshold, child, idx);
+    }
+    acc += scale * value[idx];
+  }
+  *out = acc;
+}
+
 }  // namespace
 
 void FlatForest::accumulate(const double* x, std::size_t n_rows,
@@ -117,6 +166,16 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
     const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
                                ? r0 + kTraversalRowBlock
                                : n_rows;
+    if (r1 - r0 < 8) {
+      // Too few rows to fill eight row chains: interleave trees instead.
+      for (std::size_t r = r0; r < r1; ++r) {
+        accumulate_row_tree_interleaved(x + r * stride, roots_.data(),
+                                        depth_.data(), roots_.size(), feature,
+                                        threshold, child, value, scale,
+                                        out + r);
+      }
+      continue;
+    }
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       const std::int32_t root = roots_[t];
       const std::int32_t depth = depth_[t];

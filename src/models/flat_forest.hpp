@@ -13,9 +13,19 @@
 // in blocks of kTraversalRowBlock, trees inner — the row block stays in L1
 // while the node planes stream once per block. Per ROW the accumulation
 // order is unchanged from the scalar reference (base term first, then trees
-// in round order, one fused multiply-add per tree), so flat predictions are
-// BIT-IDENTICAL to the AoS path on every tier; this kernel has no fast
-// variant because it reorders nothing.
+// in round order, one multiply-add per tree), so flat predictions are
+// BIT-IDENTICAL to the AoS path; this kernel has no fast variant because it
+// reorders nothing.
+//
+// Small batches. A block of fewer than 8 rows cannot fill the eight
+// interleaved row chains, and a lone row would walk every tree as one
+// serial dependent-load chain (200 trees x depth 6 for a served CQR-GBT
+// pair). accumulate() walks such rows one at a time with EIGHT TREES
+// abreast instead: each group of eight runs to its deepest tree (the
+// shallower ones park on their self-looping leaves), then its eight leaf
+// values are added in tree order. Per-row summation order is unchanged, so
+// the small-batch path is bit-identical too; it uses only fixed-size
+// locals, so it allocates nothing on the serve path.
 #pragma once
 
 #include <cstdint>

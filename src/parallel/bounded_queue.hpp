@@ -14,11 +14,18 @@
 //   4. Clean shutdown. close() wakes blocked consumers; items already
 //      admitted keep draining — pop_batch returns 0 only when the queue is
 //      both closed and empty.
+//   5. Spin, then park. An empty pop_batch first polls an atomic size hint
+//      for kSpinBeforePark pauses and only then blocks on the condition
+//      variable. An item that arrives during the spin is taken without the
+//      futex wake of a parked consumer, and the producer's notify_one finds
+//      no sleeper, so it makes no system call either. The hint is only a
+//      hint: every decision is re-made under the lock.
 //
 // Like everything in src/parallel/, this is the only place the raw std
 // threading primitives it uses may appear (raw-thread lint rule).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -27,8 +34,17 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "parallel/sync.hpp"
 
 namespace vmincqr::parallel {
+
+/// cpu_relax() calls an empty pop_batch makes before it parks: about 40 us
+/// on a 4-vCPU x86 host at roughly 20 ns per pause. Bounded by a count, not
+/// a clock (clock-in-hot-path). Long enough to cover the gap between
+/// back-to-back requests of a busy client, short enough that an idle
+/// consumer burns at most one budget of CPU after each batch before it
+/// sleeps.
+inline constexpr int kSpinBeforePark = 2000;
 
 /// try_push outcome: accepted, shed on a full queue, or refused because the
 /// queue is closed (shutdown in progress).
@@ -67,6 +83,7 @@ class BoundedQueue {
       ++next_sequence_;
       items_.push_back(std::move(item));
       if (items_.size() > max_depth_) max_depth_ = items_.size();
+      size_hint_.store(items_.size(), std::memory_order_relaxed);
     }
     ready_cv_.notify_one();
     return Push::kAccepted;
@@ -75,16 +92,23 @@ class BoundedQueue {
   /// Blocks until at least one item is available (or the queue is closed),
   /// then moves up to max_items from the front into `out` (cleared first).
   /// Returns the number drained; 0 means closed AND empty — the consumer's
-  /// signal to exit after a clean drain.
+  /// signal to exit after a clean drain. On an empty queue it spins up to
+  /// kSpinBeforePark pauses before it parks.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
     VMINCQR_REQUIRE(max_items > 0, "BoundedQueue: max_items must be positive");
     out.clear();
+    for (int spin = 0; spin < kSpinBeforePark &&
+                       size_hint_.load(std::memory_order_relaxed) == 0;
+         ++spin) {
+      cpu_relax();
+    }
     std::unique_lock<std::mutex> lock(mutex_);
     ready_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
     while (!items_.empty() && out.size() < max_items) {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
     }
+    size_hint_.store(items_.size(), std::memory_order_relaxed);
     return out.size();
   }
 
@@ -125,6 +149,9 @@ class BoundedQueue {
   std::size_t max_depth_ = 0;
   std::uint64_t next_sequence_ = 0;
   bool closed_ = false;
+  /// items_.size() as of the last push or pop, stored under mutex_; read
+  /// without it only by pop_batch's spin.
+  std::atomic<std::size_t> size_hint_{0};
 };
 
 }  // namespace vmincqr::parallel

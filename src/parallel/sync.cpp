@@ -5,19 +5,19 @@ namespace vmincqr::parallel {
 void OneShotEvent::set() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    set_ = true;
+    set_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
 }
 
 void OneShotEvent::wait() const {
+  if (is_set()) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return set_; });
+  cv_.wait(lock, [&] { return set_.load(std::memory_order_acquire); });
 }
 
 bool OneShotEvent::is_set() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return set_;
+  return set_.load(std::memory_order_acquire);
 }
 
 void Gate::open() {

@@ -2,6 +2,7 @@
 // the scalar reference loops, and flat-forest traversal equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -153,6 +154,80 @@ TEST(FlatForest, GbtPredictMatchesPerTreeTraversal) {
       want += params.learning_rate * nodes[idx].value;
     }
     ASSERT_EQ(got[i], want) << "row " << i;
+  }
+}
+
+/// Root-to-deepest-leaf edge count of an AoS node array.
+int aos_depth(const std::vector<models::TreeNode>& nodes, std::size_t idx = 0) {
+  if (nodes[idx].is_leaf) return 0;
+  const int left = aos_depth(nodes, static_cast<std::size_t>(nodes[idx].left));
+  const int right =
+      aos_depth(nodes, static_cast<std::size_t>(nodes[idx].right));
+  return 1 + (left > right ? left : right);
+}
+
+TEST(FlatForest, SmallBatchesMatchPerTreeTraversal) {
+  // Batches under eight rows take the tree-interleaved path, which walks
+  // trees eight abreast to the deepest of each group. Build a forest that
+  // stresses it: 19 trees (two full groups of eight plus a tail of three),
+  // depths 2, 4 and 6 mixed within each group, and a single-leaf tree.
+  // While every partial sum stays in one binade, each addition rounds onto
+  // the same fixed grid and summation order almost never shows in the
+  // bits. The labels are centred and stretched so leaves take both signs
+  // and the base score's magnitude, and partial sums cross binades.
+  Problem p = make_problem(240, 6, 23);
+  for (double& y : p.y) y = (y - 0.55) * 100.0;
+  models::GbtParams params;
+  for (const int depth : {2, 6, 4}) {
+    models::GbtConfig config;
+    config.n_rounds = 6;
+    config.tree.max_depth = depth;
+    models::GradientBoostedTrees part(config);
+    part.fit(p.x, p.y);
+    const models::GbtParams fitted = part.export_params();
+    if (params.trees.empty()) {
+      params = fitted;
+    } else {
+      params.trees.insert(params.trees.end(), fitted.trees.begin(),
+                          fitted.trees.end());
+    }
+  }
+  models::TreeNode leaf;
+  leaf.value = 0.37;
+  leaf.leaf_id = 0;
+  params.trees.insert(params.trees.begin() + 9, {leaf});
+  // Off zero, so even the first two leaves are order-sensitive (0 + a + b
+  // and 0 + b + a round alike).
+  params.base_score = 1.0 / 3.0;
+  ASSERT_EQ(params.trees.size(), 19u);
+  std::array<bool, 7> has_depth{};
+  for (const auto& nodes : params.trees) {
+    has_depth[static_cast<std::size_t>(aos_depth(nodes))] = true;
+  }
+  ASSERT_TRUE(has_depth[0] && has_depth[2] && has_depth[6]);
+
+  models::GradientBoostedTrees model;
+  model.import_params(params);
+  // Every row of the problem, cut into batches of n rows for n = 1..17.
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (std::size_t begin = 0; begin < p.x.rows(); begin += n) {
+      const std::size_t end = std::min(begin + n, p.x.rows());
+      const linalg::Vector got = model.predict(p.x.row_block(begin, end));
+      ASSERT_EQ(got.size(), end - begin);
+      for (std::size_t r = begin; r < end; ++r) {
+        double want = params.base_score;
+        for (const auto& nodes : params.trees) {
+          std::size_t idx = 0;
+          while (!nodes[idx].is_leaf) {
+            idx = p.x(r, nodes[idx].feature) <= nodes[idx].threshold
+                      ? static_cast<std::size_t>(nodes[idx].left)
+                      : static_cast<std::size_t>(nodes[idx].right);
+          }
+          want += params.learning_rate * nodes[idx].value;
+        }
+        ASSERT_EQ(got[r - begin], want) << "batches of " << n << ", row " << r;
+      }
+    }
   }
 }
 

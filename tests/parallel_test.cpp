@@ -3,16 +3,22 @@
 // changes), exception propagation (lowest chunk index wins, matching a
 // sequential first-throw), nested-run inline fallback, and the determinism
 // contract on the primitives themselves — the end-to-end model-level proof
-// lives in parallel_invariance_test.cpp.
+// lives in parallel_invariance_test.cpp. Also the control-plane primitives
+// the serving daemon is built from: BoundedQueue's admission, FIFO and
+// spin-then-park wake, and OneShotEvent's lock-free poll.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "parallel/bounded_queue.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/service_thread.hpp"
+#include "parallel/sync.hpp"
 #include "parallel/thread_pool.hpp"
 
 using namespace vmincqr;
@@ -267,6 +273,169 @@ TEST(ThreadPoolLifecycle, ZeroChunksIsANoOp) {
   bool called = false;
   parallel::ThreadPool::instance().run(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// --- BoundedQueue / OneShotEvent ------------------------------------------
+
+/// Holds the calling thread for `budgets` of pop_batch's spin budget,
+/// counted in the same pauses the spin counts, so a consumer that started
+/// spinning beforehand has run out of budget and parked by the end. No
+/// clock is read, and the margin scales with the platform's pause length.
+void outlast_spin_budgets(int budgets) {
+  for (int i = 0; i < budgets * parallel::kSpinBeforePark; ++i) {
+    parallel::cpu_relax();
+  }
+}
+
+TEST(ParallelBoundedQueue, PopBatchWakesOnItemsPushedAfterTheSpinBudget) {
+  parallel::BoundedQueue<int> queue(4);
+  std::vector<int> seen;
+  std::size_t last = 1;
+  parallel::ServiceThread consumer;
+  consumer.start([&] {
+    std::vector<int> batch;
+    while ((last = queue.pop_batch(batch, 4)) != 0) {
+      seen.insert(seen.end(), batch.begin(), batch.end());
+    }
+  });
+  // Each push lands long after the consumer drained the previous one and
+  // parked: the wake must come from notify_one, not from the spin.
+  for (int item = 0; item < 3; ++item) {
+    outlast_spin_budgets(100);
+    ASSERT_EQ(queue.try_push(item), parallel::Push::kAccepted);
+  }
+  outlast_spin_budgets(100);
+  queue.close();
+  consumer.join();
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(last, 0u);
+}
+
+TEST(ParallelBoundedQueue, CloseWakesAParkedConsumer) {
+  parallel::BoundedQueue<int> queue(2);
+  std::vector<int> batch = {99};
+  std::size_t drained = 1;
+  parallel::ServiceThread consumer;
+  consumer.start([&] { drained = queue.pop_batch(batch, 2); });
+  outlast_spin_budgets(100);
+  queue.close();
+  consumer.join();
+  EXPECT_EQ(drained, 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_TRUE(queue.closed());
+}
+
+TEST(ParallelBoundedQueue, AdmittedItemsDrainAfterClose) {
+  parallel::BoundedQueue<int> queue(4);
+  for (int item = 0; item < 3; ++item) {
+    ASSERT_EQ(queue.try_push(item), parallel::Push::kAccepted);
+  }
+  queue.close();
+  queue.close();  // idempotent
+  EXPECT_EQ(queue.try_push(3), parallel::Push::kClosed);
+  std::vector<int> batch;
+  ASSERT_EQ(queue.pop_batch(batch, 2), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1}));
+  ASSERT_EQ(queue.pop_batch(batch, 2), 1u);
+  EXPECT_EQ(batch, (std::vector<int>{2}));
+  EXPECT_EQ(queue.pop_batch(batch, 2), 0u);
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(ParallelBoundedQueue, FullAndClosedOutcomesAndFifoSequences) {
+  parallel::BoundedQueue<int> queue(3);
+  std::uint64_t sequence = 99;
+  for (int item = 0; item < 3; ++item) {
+    ASSERT_EQ(queue.try_push(item, &sequence), parallel::Push::kAccepted);
+    EXPECT_EQ(sequence, static_cast<std::uint64_t>(item));
+  }
+  sequence = 99;
+  EXPECT_EQ(queue.try_push(3, &sequence), parallel::Push::kFull);
+  EXPECT_EQ(sequence, 99u) << "a shed push must not touch the sequence";
+  EXPECT_EQ(queue.depth(), 3u);
+
+  std::vector<int> batch;
+  ASSERT_EQ(queue.pop_batch(batch, 2), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1}));
+  // Sequence numbers count admissions, not slots: a shed push takes none.
+  ASSERT_EQ(queue.try_push(4, &sequence), parallel::Push::kAccepted);
+  EXPECT_EQ(sequence, 3u);
+
+  queue.close();
+  sequence = 99;
+  EXPECT_EQ(queue.try_push(5, &sequence), parallel::Push::kClosed);
+  EXPECT_EQ(sequence, 99u);
+  ASSERT_EQ(queue.pop_batch(batch, 8), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{2, 4}));
+  EXPECT_EQ(queue.pop_batch(batch, 8), 0u);
+  EXPECT_EQ(queue.max_depth(), 3u);
+  EXPECT_EQ(queue.capacity(), 3u);
+}
+
+TEST(ParallelBoundedQueue, ConcurrentProducersDrainInSequenceOrder) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kPerProducer = 300;
+  // Items are slot indices; each admission writes its sequence into the
+  // slot under the queue lock, as the daemon stamps its response slots.
+  std::vector<std::uint64_t> sequence_of(kProducers * kPerProducer, 0);
+  parallel::BoundedQueue<std::size_t> queue(16);
+  std::vector<std::size_t> drained;
+  parallel::ServiceThread consumer;
+  consumer.start([&] {
+    std::vector<std::size_t> batch;
+    while (queue.pop_batch(batch, 5) != 0) {
+      drained.insert(drained.end(), batch.begin(), batch.end());
+    }
+  });
+  {
+    std::vector<parallel::ServiceThread> producers(kProducers);
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers[p].start([&, p] {
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+          const std::size_t slot = p * kPerProducer + i;
+          // A full queue sheds; the producer retries until admitted.
+          while (queue.try_push_sequenced(slot, [&](std::uint64_t s) {
+                   sequence_of[slot] = s;
+                 }) != parallel::Push::kAccepted) {
+            parallel::cpu_relax();
+          }
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+  }
+  queue.close();
+  consumer.join();
+
+  ASSERT_EQ(drained.size(), kProducers * kPerProducer);
+  std::vector<std::size_t> next_of_producer(kProducers, 0);
+  for (std::size_t k = 0; k < drained.size(); ++k) {
+    const std::size_t slot = drained[k];
+    EXPECT_EQ(sequence_of[slot], k) << "drain position " << k;
+    const std::size_t p = slot / kPerProducer;
+    EXPECT_EQ(slot % kPerProducer, next_of_producer[p]) << "producer " << p;
+    ++next_of_producer[p];
+  }
+  EXPECT_LE(queue.max_depth(), queue.capacity());
+}
+
+TEST(ParallelOneShotEvent, IsSetPublishesWritesMadeBeforeSet) {
+  parallel::OneShotEvent event;
+  EXPECT_FALSE(event.is_set());
+  int payload = 0;
+  parallel::ServiceThread setter;
+  setter.start([&] {
+    payload = 42;
+    event.set();
+  });
+  // Poll without the lock, as an open-loop client polls its tickets; the
+  // payload read after a true poll must not race the setter's write.
+  while (!event.is_set()) parallel::cpu_relax();
+  EXPECT_EQ(payload, 42);
+  event.wait();
+  event.set();  // idempotent
+  EXPECT_TRUE(event.is_set());
+  setter.join();
 }
 
 }  // namespace
