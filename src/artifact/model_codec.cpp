@@ -171,10 +171,9 @@ void put_gbt_body(Writer& writer, const models::GbtParams& params) {
 
 // Legacy (format version 1) decode: interleaved per-node records.
 //
-// The per-tree node vector is the sanctioned allocation: each tree owns its
-// node storage and the vector is moved into params.trees, so a hoisted
-// buffer would be re-allocated after every move anyway (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
+// The per-tree node vector is allocated per tree on purpose: each tree owns
+// its node storage and the vector is moved into params.trees, so a hoisted
+// buffer would be re-allocated after every move anyway.
 models::GbtParams get_gbt_body_v1(Reader& reader) {
   models::GbtParams params;
   params.base_score = reader.get_f64();
@@ -203,8 +202,7 @@ models::GbtParams get_gbt_body_v1(Reader& reader) {
   return params;
 }
 
-// The per-tree node vector is the sanctioned allocation (see above).
-// vmincqr: hot-path(allow-alloc)
+// The per-tree node vector is allocated per tree on purpose (see above).
 models::GbtParams get_gbt_body(Reader& reader) {
   if (reader.format_version() < 2) return get_gbt_body_v1(reader);
   models::GbtParams params;

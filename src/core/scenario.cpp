@@ -31,8 +31,7 @@ std::vector<std::size_t> scenario_feature_columns(const data::Dataset& ds,
       // Parametric tests exist at time 0 only (pre-shipment).
       // Read points are exact grid values (0, 1000, ... hours), so exact
       // comparison against the t=0 read point is well-defined.
-      return want_parametric &&
-             info.read_point_hours == 0.0;  // vmincqr-lint: allow(float-equality)
+      return want_parametric && info.read_point_hours == 0.0;
     }
     // Monitor data from all read points up to and including the horizon
     // (the label read point by default; earlier when forecasting).

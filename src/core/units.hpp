@@ -34,7 +34,7 @@ namespace unit_detail {
 
 /// NaN-safe finiteness test usable in constant expressions.
 constexpr bool value_is_finite(double v) {
-  // vmincqr-lint: allow(float-equality) — canonical constexpr NaN probe.
+  // v == v is the canonical constexpr NaN probe.
   return v == v && v <= std::numeric_limits<double>::max() &&
          v >= std::numeric_limits<double>::lowest();
 }
@@ -57,7 +57,6 @@ constexpr bool is_open_unit_interval_normal(double v) {
 class QuantileLevel {
  public:
   // The constructor is the sanctioned raw-double boundary for this type.
-  // vmincqr-lint: allow(raw-double-param)
   explicit constexpr QuantileLevel(double tau) : tau_(validated(tau)) {}
 
   [[nodiscard]] constexpr double value() const noexcept { return tau_; }
@@ -69,7 +68,6 @@ class QuantileLevel {
   friend constexpr auto operator<=>(QuantileLevel, QuantileLevel) = default;
 
  private:
-  // vmincqr-lint: allow(raw-double-param)
   static constexpr double validated(double tau) {
     if (!unit_detail::is_open_unit_interval_normal(tau)) {
       throw std::invalid_argument(
@@ -86,7 +84,6 @@ class QuantileLevel {
 class MiscoverageAlpha {
  public:
   // The constructor is the sanctioned raw-double boundary for this type.
-  // vmincqr-lint: allow(raw-double-param)
   explicit constexpr MiscoverageAlpha(double alpha) : alpha_(validated(alpha)) {}
 
   [[nodiscard]] constexpr double value() const noexcept { return alpha_; }
@@ -109,7 +106,6 @@ class MiscoverageAlpha {
   friend constexpr auto operator<=>(MiscoverageAlpha, MiscoverageAlpha) = default;
 
  private:
-  // vmincqr-lint: allow(raw-double-param)
   static constexpr double validated(double alpha) {
     if (!unit_detail::is_open_unit_interval_normal(alpha)) {
       throw std::invalid_argument(

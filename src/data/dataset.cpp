@@ -28,7 +28,7 @@ std::string to_string(FeatureType t) {
   return "unknown";
 }
 
-// vmincqr-lint: allow(matrix-by-value)  (sink parameter, moved below)
+// Sink parameter: `features` is moved into the member below.
 Dataset::Dataset(Matrix features, std::vector<FeatureInfo> feature_info,
                  std::vector<LabelSeries> labels)
     : features_(std::move(features)),

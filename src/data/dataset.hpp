@@ -55,7 +55,7 @@ class Dataset {
   /// and every label series must have features.rows() entries.
   /// Throws std::invalid_argument otherwise.
   // Sink parameter: the matrix is moved into the member, so by-value is
-  // the cheapest correct signature.  vmincqr-lint: allow(matrix-by-value)
+  // the cheapest correct signature.
   Dataset(Matrix features, std::vector<FeatureInfo> feature_info,
           std::vector<LabelSeries> labels);
 

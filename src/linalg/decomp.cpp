@@ -143,7 +143,6 @@ namespace {
 // Matrix is the scratch buffer the reflectors overwrite.
 // Returns the solution of min ||A x - b||, zeroing coefficients beyond the
 // numerical rank.
-// vmincqr-lint: allow(matrix-by-value)
 Vector qr_least_squares(Matrix a, Vector b) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -254,7 +253,7 @@ Vector ridge_solve(const Matrix& a, const Vector& b, double lambda) {
   VMINCQR_REQUIRE(lambda >= 0.0, "ridge_solve: lambda must be >= 0");
   VMINCQR_CHECK_SHAPE(a.rows() == b.size(), "ridge_solve: dimension mismatch");
   // Exact-zero lambda is the documented "no ridge" sentinel.
-  if (lambda == 0.0) return least_squares(a, b);  // vmincqr-lint: allow(float-equality)
+  if (lambda == 0.0) return least_squares(a, b);
   Matrix g = gram(a);
   for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += lambda;
   return solve_spd(g, transpose_matvec(a, b));

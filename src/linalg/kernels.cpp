@@ -25,7 +25,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
       for (std::size_t i = i0; i < i1; ++i) {
         const double aik = a[i * lda + kk];
         // Sparsity fast path: skipping an exact zero is lossless.
-        if (aik == 0.0) continue;  // vmincqr-lint: allow(float-equality)
+        if (aik == 0.0) continue;
         double* crow = c + i * ldc;
         for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
       }
@@ -48,7 +48,7 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
       for (std::size_t j = 0; j < n; ++j) {
         const double bij = brow[j];
         // Sparsity fast path: skipping an exact zero is lossless.
-        if (bij == 0.0) continue;  // vmincqr-lint: allow(float-equality)
+        if (bij == 0.0) continue;
         crow[j] += aik * bij;
       }
     }

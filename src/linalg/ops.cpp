@@ -35,7 +35,7 @@ Matrix gram(const Matrix& a) {
     for (std::size_t i = 0; i < a.cols(); ++i) {
       const double ri = row[i];
       // Sparsity fast path: skipping an exact zero is lossless.
-      if (ri == 0.0) continue;  // vmincqr-lint: allow(float-equality)
+      if (ri == 0.0) continue;
       double* orow = out.row_ptr(i);
       for (std::size_t j = i; j < a.cols(); ++j) orow[j] += ri * row[j];
     }
@@ -54,7 +54,7 @@ Vector transpose_matvec(const Matrix& a, const Vector& y) {
   for (std::size_t r = 0; r < a.rows(); ++r) {
     const double yr = y[r];
     // Sparsity fast path: skipping an exact zero is lossless.
-    if (yr == 0.0) continue;  // vmincqr-lint: allow(float-equality)
+    if (yr == 0.0) continue;
     const double* row = a.row_ptr(r);
     for (std::size_t c = 0; c < a.cols(); ++c) out[c] += yr * row[c];
   }

@@ -76,7 +76,7 @@ void ElasticNetRegressor::fit(const Matrix& x, const Vector& y) {
       const double delta = new_coef - coef_[j];
       // Exact-zero delta means soft_threshold clamped the step; skipping
       // the residual update is lossless (additive identity).
-      if (delta != 0.0) {  // vmincqr-lint: allow(float-equality)
+      if (delta != 0.0) {
         for (std::size_t r = 0; r < n; ++r) residual[r] -= delta * xs(r, j);
         coef_[j] = new_coef;
         max_delta = std::max(max_delta, std::abs(delta));
@@ -130,7 +130,7 @@ std::vector<std::size_t> ElasticNetRegressor::selected_features() const {
   idx.reserve(coef_.size());
   for (std::size_t j = 0; j < coef_.size(); ++j) {
     // Soft-thresholding produces exact zeros; != 0.0 is the sparsity test.
-    if (coef_[j] != 0.0) idx.push_back(j);  // vmincqr-lint: allow(float-equality)
+    if (coef_[j] != 0.0) idx.push_back(j);
   }
   std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
     return std::abs(coef_[a]) > std::abs(coef_[b]);

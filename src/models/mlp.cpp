@@ -147,7 +147,7 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
               const double dh = zr[j] > 0.0 ? dl * w2[j] : 0.0;
               dhm[r * h + j] = dh;
               // ReLU mask zeroes dh exactly; skipping dead units is lossless.
-              if (dh == 0.0) continue;  // vmincqr-lint: allow(float-equality)
+              if (dh == 0.0) continue;
               gb1[j] += dh;
             }
           }
@@ -196,7 +196,6 @@ constexpr std::size_t kForwardGrain = 256;
 
 }  // namespace
 
-// vmincqr: hot-path(allow-alloc)
 Vector MlpRegressor::forward(const Matrix& xs) const {
   // Width comes from the fitted parameters, not the config, so an imported
   // parameter set with a different hidden width evaluates correctly.

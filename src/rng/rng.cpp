@@ -30,7 +30,7 @@ double Rng::normal(double mean, double stddev) {
   if (stddev < 0.0) throw std::invalid_argument("Rng::normal: stddev < 0");
   // std::normal_distribution requires stddev > 0; exact zero is the
   // degenerate point-mass case.
-  if (stddev == 0.0) return mean;  // vmincqr-lint: allow(float-equality)
+  if (stddev == 0.0) return mean;
   std::normal_distribution<double> dist(mean, stddev);
   return dist(engine_);
 }

@@ -71,11 +71,9 @@ VminPredictor VminPredictor::from_bytes(
   return VminPredictor(artifact::decode_bundle(bytes));
 }
 
-// The per-shard gathered design is the sanctioned allocation: each shard
+// The per-shard gathered design is the one allocation per shard: each shard
 // reads only the selected columns of its own rows from the caller's batch
-// and hands its model one contiguous rows x n_selected matrix
-// (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
+// and hands its model one contiguous rows x n_selected matrix.
 std::vector<IntervalPrediction> VminPredictor::predict_batch(
     const Matrix& x) const {
   VMINCQR_REQUIRE(x.rows() > 0, "VminPredictor::predict_batch: empty batch");

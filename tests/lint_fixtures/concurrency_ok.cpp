@@ -1,4 +1,4 @@
-// Negative fixture for the phase-3 concurrency rules: every sanctioned
+// Negative fixture for the concurrency rules: every sanctioned
 // idiom the analyzer must NOT flag. Zero diagnostics expected.
 #include <map>
 #include <vector>

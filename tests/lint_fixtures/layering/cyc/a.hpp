@@ -1,5 +1,5 @@
-// Half of a deliberate header cycle: a.hpp -> b.hpp -> a.hpp. Each half uses
-// a name from the other so only include-cycle fires.
+// Half of a deliberate header cycle: a.hpp -> b.hpp -> a.hpp, which must
+// fire include-cycle exactly once.
 #pragma once
 
 #include "cyc/b.hpp"

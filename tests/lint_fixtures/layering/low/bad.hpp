@@ -1,6 +1,5 @@
 // Layer violation: `low` has no edge to `high` in layers.toml, so this
-// include must fire layer-violation (and only that — TopThing *is* used, so
-// unused-include stays quiet).
+// include must fire layer-violation.
 #pragma once
 
 #include "high/top.hpp"

@@ -1,17 +1,13 @@
 // Fixture: every violation below carries an allow() suppression — the file
 // must lint clean. Exercises both same-line and previous-line placement.
 #include <cstdlib>
-#include <iostream>
-
-bool fixture_exact(double x) {
-  return x == 0.0;  // vmincqr-lint: allow(float-equality)
-}
 
 int fixture_noise() {
   // vmincqr-lint: allow(no-rand)
   return rand() % 7;
 }
 
-void fixture_log() {
-  std::cout << "x" << std::endl;  // vmincqr-lint: allow(no-endl)
+void fixture_handoff() {
+  std::mutex guard;  // vmincqr-lint: allow(raw-thread)
+  consume(guard);
 }

@@ -1,11 +1,8 @@
 #include "callgraph.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -16,8 +13,6 @@
 
 namespace vmincqr::lint {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Identifiers that can precede a '(' without being a function name. Keeps
 /// both the definition walker and the call-site scanner from mistaking
@@ -220,6 +215,83 @@ std::string innermost_class(const std::vector<ClassSpan>& spans,
   return best;
 }
 
+/// Every named function definition (free function, out-of-line member, or
+/// constructor) in one TU's token stream; `tu` is left unset for the linker
+/// to stamp.
+std::vector<FunctionDef> extract_definitions(const Unit& unit) {
+  std::vector<FunctionDef> defs;
+  const auto& t = unit.tokens;
+  const auto scopes = function_scopes(unit);
+  const auto classes = class_spans(t);
+
+  // Walk back from each body '{' to the signature; scopes that are not a
+  // named definition we model (lambdas, operators, destructors) are skipped.
+  for (const FunctionScope& s : scopes) {
+    if (s.first == 0) continue;
+    std::size_t j = s.first - 1;
+    while (j > 0 && t[j].kind == TokKind::kIdent &&
+           is_trailing_qualifier(t[j].text)) {
+      --j;
+    }
+    // Trailing return type: hop back over `-> Type` to the params ')'.
+    {
+      std::size_t k = j;
+      std::size_t steps = 0;
+      while (k > 0 && steps++ < 24) {
+        const std::string& x = t[k].text;
+        if (x == "->") {
+          j = k - 1;
+          while (j > 0 && t[j].kind == TokKind::kIdent &&
+                 is_trailing_qualifier(t[j].text)) {
+            --j;
+          }
+          break;
+        }
+        if (t[k].kind != TokKind::kIdent && x != "::" && x != "<" &&
+            x != ">" && x != "," && x != "*" && x != "&") {
+          break;
+        }
+        --k;
+      }
+    }
+    if (t[j].text != ")") continue;  // lambda ([]) or something unmodelled
+    const std::size_t params_open = find_params_open(t, j);
+    if (params_open == 0) continue;
+    const std::size_t name_idx = params_open - 1;
+    if (t[name_idx].kind != TokKind::kIdent) continue;
+    if (is_non_call_keyword(t[name_idx].text)) continue;
+    if (name_idx > 0 &&
+        (t[name_idx - 1].text == "~" || t[name_idx - 1].text == "operator")) {
+      continue;  // destructors and operator overloads: never called by name
+    }
+    FunctionDef d;
+    d.name = t[name_idx].text;
+    if (name_idx >= 2 && t[name_idx - 1].text == "::" &&
+        t[name_idx - 2].kind == TokKind::kIdent) {
+      d.qualifier = t[name_idx - 2].text;  // out-of-line member
+    } else {
+      d.qualifier = innermost_class(classes, name_idx);  // inline member
+    }
+    d.display = d.qualifier.empty() || d.qualifier == d.name
+                    ? d.name
+                    : d.qualifier + "::" + d.name;
+    d.line = t[name_idx].line;
+    d.body_first = s.first;
+    d.body_last = s.last;
+    const std::size_t params_close = match_forward(t, params_open);
+    const ArgScan ps = scan_args(t, params_open, params_close);
+    const bool lone_void =
+        params_close == params_open + 2 && t[params_open + 1].text == "void";
+    const std::size_t n_params = ps.any && !lone_void ? ps.commas + 1 : 0;
+    d.arity_max = ps.variadic ? kNoFunction : n_params;
+    d.arity_min = ps.commas_before_default != kNoFunction
+                      ? ps.commas_before_default
+                      : n_params;
+    defs.push_back(std::move(d));
+  }
+  return defs;
+}
+
 /// Per-TU extraction result; pure function of the file bytes, so it can fan
 /// out on the deterministic pool.
 struct TuExtract {
@@ -383,99 +455,7 @@ bool in_parallel_dir(const std::string& display) {
   return false;
 }
 
-const std::set<std::string>& numeric_entry_names() {
-  static const std::set<std::string> names = {
-      "fit",           "fit_with_split", "fit_transform",
-      "calibrate",     "predict",        "predict_interval",
-      "predict_point", "predict_sigma",  "predict_batch"};
-  return names;
-}
-
 }  // namespace
-
-std::vector<FunctionDef> extract_definitions(const Unit& unit) {
-  std::vector<FunctionDef> defs;
-  const auto& t = unit.tokens;
-  const auto scopes = function_scopes(unit);
-  const auto classes = class_spans(t);
-
-  // Walk back from each body '{' to the signature; scopes that are not a
-  // named definition we model (lambdas, operators, destructors) are skipped.
-  for (const FunctionScope& s : scopes) {
-    if (s.first == 0) continue;
-    std::size_t j = s.first - 1;
-    while (j > 0 && t[j].kind == TokKind::kIdent &&
-           is_trailing_qualifier(t[j].text)) {
-      --j;
-    }
-    // Trailing return type: hop back over `-> Type` to the params ')'.
-    {
-      std::size_t k = j;
-      std::size_t steps = 0;
-      while (k > 0 && steps++ < 24) {
-        const std::string& x = t[k].text;
-        if (x == "->") {
-          j = k - 1;
-          while (j > 0 && t[j].kind == TokKind::kIdent &&
-                 is_trailing_qualifier(t[j].text)) {
-            --j;
-          }
-          break;
-        }
-        if (t[k].kind != TokKind::kIdent && x != "::" && x != "<" &&
-            x != ">" && x != "," && x != "*" && x != "&") {
-          break;
-        }
-        --k;
-      }
-    }
-    if (t[j].text != ")") continue;  // lambda ([]) or something unmodelled
-    const std::size_t params_open = find_params_open(t, j);
-    if (params_open == 0) continue;
-    const std::size_t name_idx = params_open - 1;
-    if (t[name_idx].kind != TokKind::kIdent) continue;
-    if (is_non_call_keyword(t[name_idx].text)) continue;
-    if (name_idx > 0 &&
-        (t[name_idx - 1].text == "~" || t[name_idx - 1].text == "operator")) {
-      continue;  // destructors and operator overloads: never called by name
-    }
-    FunctionDef d;
-    d.name = t[name_idx].text;
-    if (name_idx >= 2 && t[name_idx - 1].text == "::" &&
-        t[name_idx - 2].kind == TokKind::kIdent) {
-      d.qualifier = t[name_idx - 2].text;  // out-of-line member
-    } else {
-      d.qualifier = innermost_class(classes, name_idx);  // inline member
-    }
-    d.display = d.qualifier.empty() || d.qualifier == d.name
-                    ? d.name
-                    : d.qualifier + "::" + d.name;
-    d.line = t[name_idx].line;
-    d.params_open = params_open;
-    d.body_first = s.first;
-    d.body_last = s.last;
-    const std::size_t params_close = match_forward(t, params_open);
-    const ArgScan ps = scan_args(t, params_open, params_close);
-    const bool lone_void =
-        params_close == params_open + 2 && t[params_open + 1].text == "void";
-    const std::size_t n_params = ps.any && !lone_void ? ps.commas + 1 : 0;
-    d.arity_max = ps.variadic ? kNoFunction : n_params;
-    d.arity_min = ps.commas_before_default != kNoFunction
-                      ? ps.commas_before_default
-                      : n_params;
-    for (std::size_t i = params_open + 1; i < params_close; ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      const std::string& nx = t[i + 1].text;
-      if ((nx == "," || nx == ")" || nx == "=") &&
-          !is_non_call_keyword(t[i].text)) {
-        d.params.push_back(t[i].text);
-      }
-    }
-    d.tier = numeric_tier_at(unit, d.line);
-    defs.push_back(std::move(d));
-  }
-  return defs;
-}
 
 CallGraph CallGraph::build(const std::vector<SourceFile>& files,
                            const LayerConfig& layers) {
@@ -563,74 +543,16 @@ std::set<std::size_t> CallGraph::reachable_from(
   return bfs(*this, seeds).reached;
 }
 
-std::set<std::size_t> CallGraph::parallel_reachable() const {
-  std::vector<std::pair<std::size_t, std::size_t>> seeds;
-  for (std::size_t ci = 0; ci < calls_.size(); ++ci) {
-    if (!calls_[ci].in_parallel_body) continue;
-    for (std::size_t callee : calls_[ci].callees) {
-      seeds.emplace_back(callee, ci);
-    }
-  }
-  return bfs(*this, seeds).reached;
-}
-
-std::string CallGraph::to_dot(const std::set<std::size_t>& parallel_reach,
-                              const std::set<std::size_t>& numeric_reach) const {
-  std::ostringstream dot;
-  dot << "digraph vmincqr_callgraph {\n"
-      << "  rankdir=LR;\n"
-      << "  node [shape=box, fontsize=9, fontname=\"monospace\"];\n";
-  // One cluster per module, unmapped definitions at top level; all orderings
-  // come from sorted containers, so the rendering is deterministic.
-  std::map<std::string, std::vector<std::size_t>> by_module;
-  for (std::size_t di = 0; di < defs_.size(); ++di) {
-    by_module[modules_[defs_[di].tu]].push_back(di);
-  }
-  auto emit_node = [&](std::ostream& os, std::size_t di,
-                       const char* indent) {
-    const FunctionDef& d = defs_[di];
-    os << indent << "n" << di << " [label=\"" << d.display << "\\n"
-       << displays_[d.tu] << ":" << d.line << "\"";
-    std::string style;
-    if (parallel_reach.count(di) > 0) style = "filled";
-    if (d.tier == "tolerance") style += style.empty() ? "dashed" : ",dashed";
-    if (!style.empty()) os << ", style=\"" << style << "\"";
-    if (parallel_reach.count(di) > 0) os << ", fillcolor=\"#fce5cd\"";
-    if (numeric_reach.count(di) > 0) os << ", color=\"#1155cc\"";
-    os << "];\n";
-  };
-  for (const auto& [mod, dis] : by_module) {
-    if (mod.empty()) {
-      for (std::size_t di : dis) emit_node(dot, di, "  ");
-      continue;
-    }
-    dot << "  subgraph cluster_" << mod << " {\n"
-        << "    label=\"" << mod << "\";\n";
-    for (std::size_t di : dis) emit_node(dot, di, "    ");
-    dot << "  }\n";
-  }
-  std::set<std::pair<std::size_t, std::size_t>> edges;
-  for (const CallSite& c : calls_) {
-    if (c.caller == kNoFunction) continue;
-    for (std::size_t callee : c.callees) edges.emplace(c.caller, callee);
-  }
-  for (const auto& [from, to] : edges) {
-    dot << "  n" << from << " -> n" << to << ";\n";
-  }
-  dot << "}\n";
-  return dot.str();
-}
-
-CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
-                                     const CallGraphOptions& options) {
-  const CallGraph g = CallGraph::build(files, options.layers);
-  CallGraphAnalysis out;
+std::vector<Diagnostic> analyze_call_graph(const std::vector<SourceFile>& files,
+                                           const LayerConfig& layers) {
+  const CallGraph g = CallGraph::build(files, layers);
+  std::vector<Diagnostic> out;
   std::vector<Diagnostic> raw;
   const auto& defs = g.defs();
   const auto& calls = g.calls();
 
   // Parallel-body spans per TU, so the transitive RNG rule never re-reports
-  // a construction the phase-3 lexical rule already covers.
+  // a construction the per-TU lexical rule already covers.
   std::map<std::size_t, std::vector<std::pair<std::size_t, std::size_t>>>
       spans_cache;
   auto parallel_spans_of = [&](std::size_t tu)
@@ -694,7 +616,7 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
             !is_rng_engine_type(t[i].text)) {
           continue;
         }
-        if (lexically_parallel(d.tu, i)) continue;  // phase 3 owns it
+        if (lexically_parallel(d.tu, i)) continue;  // the per-TU rule owns it
         std::size_t args_open = kNoFunction;
         if (t[i + 1].text == "(" || t[i + 1].text == "{") {
           args_open = i + 1;  // Rng(seed) temporary
@@ -732,7 +654,7 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
 
   // --- Call-level layering: [call_forbidden] modules must not reach the
   // listed symbols through any call chain. ---
-  for (const auto& [mod, names] : options.layers.call_forbidden) {
+  for (const auto& [mod, names] : layers.call_forbidden) {
     const std::set<std::string> forbidden(names.begin(), names.end());
     std::vector<std::pair<std::size_t, std::size_t>> seeds;
     for (std::size_t di = 0; di < defs.size(); ++di) {
@@ -772,61 +694,6 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
     }
   }
 
-  // --- Numeric-safety rules on predict/fit-reachable functions. ---
-  std::set<std::size_t> numeric_reach;
-  {
-    std::set<std::size_t> roots;
-    for (std::size_t di = 0; di < defs.size(); ++di) {
-      if (numeric_entry_names().count(defs[di].name) > 0) roots.insert(di);
-    }
-    numeric_reach = g.reachable_from(roots);
-    for (std::size_t di : numeric_reach) {
-      const FunctionDef& d = defs[di];
-      const std::string tier = d.tier.empty() ? "bit_exact" : d.tier;
-      numeric_rules_for_function(g.display_of(d.tu), g.unit(d.tu),
-                                 d.params_open, d.body_first, d.body_last,
-                                 d.display, tier, raw);
-    }
-  }
-
-  // --- Tier records + manifest enforcement (every annotated definition,
-  // reachable or not: the manifest is the reviewable source of truth). ---
-  {
-    std::set<std::string> used_entries;
-    for (std::size_t di = 0; di < defs.size(); ++di) {
-      const FunctionDef& d = defs[di];
-      if (d.tier.empty()) continue;
-      out.tiers.push_back({d.display, g.display_of(d.tu), d.line, d.tier});
-      if (d.tier != "tolerance") continue;
-      if (options.tolerance_manifest.count(d.display) > 0) {
-        used_entries.insert(d.display);
-      } else if (options.tolerance_manifest.count(d.name) > 0) {
-        used_entries.insert(d.name);
-      } else {
-        raw.push_back(
-            {g.display_of(d.tu), d.line, "numeric-tier-manifest",
-             "'" + d.display + "' is annotated numeric-tier(tolerance) but "
-                 "is not listed in " + options.manifest_display +
-                 "; every bit-exactness opt-out must be committed to the "
-                 "manifest so the relaxation is reviewable in one place"});
-      }
-    }
-    for (const std::string& entry : options.tolerance_manifest) {
-      if (used_entries.count(entry) == 0) {
-        raw.push_back(
-            {options.manifest_display, 1, "numeric-tier-manifest",
-             "manifest entry '" + entry + "' matches no function annotated "
-                 "numeric-tier(tolerance); remove the stale entry or "
-                 "annotate the function"});
-      }
-    }
-    std::sort(out.tiers.begin(), out.tiers.end(),
-              [](const TierRecord& a, const TierRecord& b) {
-                return std::tie(a.file, a.line, a.function) <
-                       std::tie(b.file, b.line, b.function);
-              });
-  }
-
   // --- allow() suppressions, then the canonical total order. ---
   std::map<std::string, std::size_t> tu_of_display;
   for (std::size_t tu = 0; tu < files.size(); ++tu) {
@@ -838,51 +705,20 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
         is_allowed(g.unit(it->second), d.rule, d.line)) {
       continue;
     }
-    out.diagnostics.push_back(std::move(d));
+    out.push_back(std::move(d));
   }
-  std::sort(out.diagnostics.begin(), out.diagnostics.end(),
+  std::sort(out.begin(), out.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });
-  out.diagnostics.erase(
-      std::unique(out.diagnostics.begin(), out.diagnostics.end(),
-                  [](const Diagnostic& a, const Diagnostic& b) {
-                    return std::tie(a.file, a.line, a.rule, a.message) ==
-                           std::tie(b.file, b.line, b.rule, b.message);
-                  }),
-      out.diagnostics.end());
-
-  if (options.emit_dot) {
-    out.dot = g.to_dot(g.parallel_reachable(), numeric_reach);
-  }
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Diagnostic& a, const Diagnostic& b) {
+                          return std::tie(a.file, a.line, a.rule, a.message) ==
+                                 std::tie(b.file, b.line, b.rule, b.message);
+                        }),
+            out.end());
   return out;
-}
-
-CallGraphAnalysis analyze_call_graph_directory(
-    const std::string& root, const CallGraphOptions& options) {
-  std::vector<SourceFile> files;
-  const fs::path base(root);
-  for (const auto& entry : fs::recursive_directory_iterator(base)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".hpp" && ext != ".cpp") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("vmincqr_lint: cannot read " +
-                               entry.path().string());
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    files.push_back({entry.path().string(),
-                     entry.path().lexically_relative(base).generic_string(),
-                     ss.str()});
-  }
-  std::sort(files.begin(), files.end(),
-            [](const SourceFile& a, const SourceFile& b) {
-              return a.rel < b.rel;
-            });
-  return analyze_call_graph(files, options);
 }
 
 }  // namespace vmincqr::lint

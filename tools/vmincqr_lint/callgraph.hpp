@@ -1,26 +1,20 @@
-// Phase-4 cross-TU symbol table and function-level call graph.
+// Pass 3: cross-TU symbol table and function-level call graph.
 //
-// Phases 1–3 are one hop deep: the concurrency rules see a parallel
+// The per-TU rules are one hop deep: the concurrency rules see a parallel
 // lambda's body but not the functions it calls, and the serve/artifact
-// fit-free contract is checked at include granularity only. This phase
+// fit-free contract is checked at include granularity only. This pass
 // builds a whole-program (token-level, type-free) call graph on top of the
-// existing scope parser and closes both gaps:
+// scope parser and closes both gaps:
 //
 //   * transitive parallel context — every function reachable from a
 //     parallel_for / parallel_deterministic_reduce body inherits the
 //     determinism contract: no non-const function-local statics
 //     (mutable-static-in-parallel) and no RNG construction whose seed
-//     ignores the caller-supplied parameters (rng-in-parallel,
-//     transitively).
+//     ignores the caller-supplied state (rng-in-parallel, transitively).
 //   * call-level layering — [call_forbidden] in layers.toml names symbols
 //     (fit, calibrate, ...) that serve/artifact functions must not reach
 //     through ANY call chain, even when every include edge is legal
 //     (call-layer-violation).
-//   * numeric-safety tiers — functions reachable from predict/fit entry
-//     points run the numeric rules (numeric.hpp): fp-narrowing,
-//     float-accumulator, unguarded-division, governed by
-//     `// vmincqr: numeric-tier(...)` annotations that must be mirrored in
-//     a committed manifest (numeric-tier-manifest).
 //
 // Resolution semantics (deliberately conservative, documented in
 // DESIGN.md §6): overload sets are keyed by unqualified name; a call
@@ -36,8 +30,8 @@
 //
 // Determinism: per-TU extraction fans out on core::parallel_map (each TU
 // is a pure function of its bytes); linking, resolution, BFS, and rule
-// evaluation are sequential over sorted containers, so diagnostics, SARIF,
-// and the DOT dump are byte-identical at every thread width.
+// evaluation are sequential over sorted containers, so diagnostics are
+// byte-identical at every thread width.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +42,6 @@
 
 #include "diagnostic.hpp"
 #include "include_graph.hpp"
-#include "numeric.hpp"
 #include "token.hpp"
 
 namespace vmincqr::lint {
@@ -65,13 +58,10 @@ struct FunctionDef {
   std::string display;    // qualifier::name, or name
   std::size_t tu = 0;     // index into the analyzed file set
   std::size_t line = 0;   // line of the name token
-  std::size_t params_open = 0;  // token index of the parameter-list '('
   std::size_t body_first = 0;   // token index of the body '{'
   std::size_t body_last = 0;    // token index of the matching '}'
   std::size_t arity_min = 0;    // parameters without defaults
   std::size_t arity_max = 0;    // all parameters (kNoFunction if variadic)
-  std::vector<std::string> params;  // parameter names, for seed analysis
-  std::string tier;  // explicit numeric-tier annotation, "" = default
 };
 
 /// One call site inside a definition's body.
@@ -113,15 +103,6 @@ class CallGraph {
   [[nodiscard]] std::set<std::size_t> reachable_from(
       const std::set<std::size_t>& roots) const;
 
-  /// Definitions transitively reachable from parallel lambda bodies.
-  [[nodiscard]] std::set<std::size_t> parallel_reachable() const;
-
-  /// Deterministic Graphviz DOT rendering: one cluster per module,
-  /// parallel-reachable nodes filled, tolerance-tier nodes dashed.
-  [[nodiscard]] std::string to_dot(
-      const std::set<std::size_t>& parallel_reach,
-      const std::set<std::size_t>& numeric_reach) const;
-
  private:
   std::vector<Unit> units_;
   std::vector<std::string> displays_;  // per TU
@@ -130,42 +111,10 @@ class CallGraph {
   std::vector<CallSite> calls_;
 };
 
-struct CallGraphOptions {
-  LayerConfig layers;
-  /// Functions committed as tolerance-tier (parse_tier_manifest). Entries
-  /// match a definition's display name or bare name.
-  std::set<std::string> tolerance_manifest;
-  /// Manifest path for diagnostics (stale entries report against it).
-  std::string manifest_display = "numeric_tiers.toml";
-  /// Render analysis.dot (skipped by default: the tier-1 run doesn't need
-  /// it).
-  bool emit_dot = false;
-};
-
-struct CallGraphAnalysis {
-  /// Sorted by (file, line, rule, message); allow() suppressions applied.
-  std::vector<Diagnostic> diagnostics;
-  /// Every explicit numeric-tier annotation, sorted by (file, line) —
-  /// recorded in SARIF run properties as the bit-exactness audit trail.
-  std::vector<TierRecord> tiers;
-  /// DOT rendering of the graph when options.emit_dot was set.
-  std::string dot;
-};
-
-/// Extracts every named function definition from one TU's token stream
-/// (`tu` left unset — the caller stamps it). Shared by the phase-4 linker,
-/// the phase-5 hot-path analyzer, and the signature-rewriting fixes, so the
-/// three can never disagree about where a function's parameters and body
-/// sit.
-std::vector<FunctionDef> extract_definitions(const Unit& unit);
-
-/// Runs all phase-4 rules over the file set.
-CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
-                                     const CallGraphOptions& options);
-
-/// Convenience: collects .hpp/.cpp files under `root` (rel paths computed
-/// against `root`, sorted) and analyzes them. Throws on IO errors.
-CallGraphAnalysis analyze_call_graph_directory(const std::string& root,
-                                               const CallGraphOptions& options);
+/// Runs both call-graph rules over the file set. `layers` scopes call
+/// resolution and supplies the [call_forbidden] table. The result is sorted
+/// by (file, line, rule, message) with allow() suppressions applied.
+std::vector<Diagnostic> analyze_call_graph(const std::vector<SourceFile>& files,
+                                           const LayerConfig& layers);
 
 }  // namespace vmincqr::lint

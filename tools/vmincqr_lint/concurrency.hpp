@@ -1,10 +1,10 @@
-// Phase-3 concurrency & determinism rules.
+// Concurrency & determinism rules (part of the per-TU pass).
 //
 // PR 5 made the hot paths parallel and proved bit-exact thread-count
 // invariance *dynamically* (the invariance battery + the 8-thread TSan job).
 // Nothing in that battery stops a later change from reintroducing a racy or
 // schedule-dependent construct that only misbehaves on an unexercised
-// interleaving. This phase enforces the src/parallel/ determinism contract
+// interleaving. These rules enforce the src/parallel/ determinism contract
 // (DESIGN.md §8) statically, at lint time:
 //
 //   * shared-mutable-capture  — a by-reference capture written inside a
@@ -29,7 +29,7 @@
 // token stream: each parallel_for / parallel_deterministic_reduce /
 // for_each_chunk / parallel_map call site yields (capture list, parameter
 // list, body range), and a conservative local-variable scan decides which
-// written names are chunk-local. Like the dataflow phase this is token-level
+// written names are chunk-local. Like the dataflow rules this is token-level
 // and deliberately conservative; false positives are silenced per line with
 // `// vmincqr-lint: allow(<rule>)` plus a justification.
 #pragma once
@@ -51,7 +51,7 @@ std::vector<Diagnostic> concurrency_rules(const std::string& path,
 
 /// A parallel-body region extracted from a launcher call site:
 /// `parallel_for(n, grain, [captures](params) { body })` and friends.
-/// Exposed for the --fix machinery and for tests.
+/// Exposed for the call-graph pass, which needs the same body spans.
 struct ParallelBody {
   std::string launcher;       // parallel_for, parallel_map, ...
   std::size_t intro;          // token index of the capture-list '['

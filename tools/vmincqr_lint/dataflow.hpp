@@ -1,4 +1,4 @@
-// Phase-2 statistical-validity dataflow rules.
+// Statistical-validity dataflow rules (part of the per-TU pass).
 //
 // CQR's finite-sample coverage guarantee (Romano et al.) rests on
 // exchangeability between calibration and test points. Two one-line coding
@@ -37,8 +37,8 @@ std::vector<Diagnostic> dataflow_rules(const std::string& path,
 
 /// True for type names whose construction consumes an RNG seed (`Rng`, the
 /// std engines). Shared between the dataflow rules (seed-reuse,
-/// unseeded-rng) and the phase-3 concurrency rules (rng-in-parallel) so the
-/// two phases agree on what an RNG is.
+/// unseeded-rng), the concurrency rules and the call graph (rng-in-parallel)
+/// so every rule agrees on what an RNG is.
 bool is_rng_engine_type(const std::string& name);
 
 }  // namespace vmincqr::lint

@@ -1,6 +1,5 @@
-// The one currency every analyzer phase trades in: a (file, line, rule,
-// message) finding. Shared by the token rules, the dataflow pass, the
-// include-graph pass, and both output formats (text and SARIF).
+// The one currency every analyzer pass trades in: a (file, line, rule,
+// message) finding, printed as `file:line: [rule] message`.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "include_graph.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -16,27 +15,6 @@ namespace vmincqr::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-const std::set<std::string>& cpp_keywords() {
-  static const std::set<std::string> kws = {
-      "alignas",   "alignof",  "auto",      "bool",         "break",
-      "case",      "catch",    "char",      "class",        "concept",
-      "const",     "consteval","constexpr", "constinit",    "const_cast",
-      "continue",  "co_await", "co_return", "co_yield",     "decltype",
-      "default",   "delete",   "do",        "double",       "dynamic_cast",
-      "else",      "enum",     "explicit",  "export",       "extern",
-      "false",     "final",    "float",     "for",          "friend",
-      "goto",      "if",       "inline",    "int",          "long",
-      "mutable",   "namespace","new",       "noexcept",     "nullptr",
-      "operator",  "override", "private",   "protected",    "public",
-      "register",  "requires", "return",    "short",        "signed",
-      "sizeof",    "static",   "static_assert", "static_cast", "struct",
-      "switch",    "template", "this",      "thread_local", "throw",
-      "true",      "try",      "typedef",   "typeid",       "typename",
-      "union",     "unsigned", "using",     "virtual",      "void",
-      "volatile",  "while"};
-  return kws;
-}
 
 std::string trim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
@@ -88,118 +66,6 @@ std::vector<IncludeEdge> quoted_includes(const Unit& unit) {
     out.push_back({text.substr(open + 1, close - open - 1), line});
   }
   return out;
-}
-
-/// Names a header *declares* (types, functions, aliases, macros, constants,
-/// enumerators). Deliberately conservative in the "used" direction: calls in
-/// inline bodies also land here, so an include is only ever flagged unused
-/// when the TU shares no plausible name with it at all.
-std::set<std::string> declared_names(const Unit& unit) {
-  std::set<std::string> names;
-  const auto& t = unit.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    const std::string& x = t[i].text;
-    // Type introductions: class/struct/enum [class]/union/concept NAME.
-    if ((x == "class" || x == "struct" || x == "union" || x == "concept" ||
-         x == "enum") &&
-        i + 1 < t.size()) {
-      std::size_t j = i + 1;
-      if (x == "enum" && j < t.size() &&
-          (t[j].text == "class" || t[j].text == "struct")) {
-        ++j;
-      }
-      if (j < t.size() && t[j].kind == TokKind::kIdent &&
-          cpp_keywords().count(t[j].text) == 0) {
-        names.insert(t[j].text);
-        // Enumerators: everything up to the closing '}' of the enum body.
-        if (x == "enum") {
-          while (j < t.size() && t[j].text != "{" && t[j].text != ";") ++j;
-          for (; j < t.size() && t[j].text != "}"; ++j) {
-            if (t[j].kind == TokKind::kIdent) names.insert(t[j].text);
-          }
-        }
-      }
-      continue;
-    }
-    // Aliases: `using NAME = ...` and re-exports `using a::b;`.
-    if (x == "using" && i + 1 < t.size()) {
-      if (t[i + 1].kind == TokKind::kIdent && i + 2 < t.size() &&
-          t[i + 2].text == "=") {
-        names.insert(t[i + 1].text);
-      } else {
-        std::size_t j = i + 1;
-        std::string last;
-        while (j < t.size() && t[j].text != ";" && t[j].text != "=") {
-          if (t[j].kind == TokKind::kIdent) last = t[j].text;
-          ++j;
-        }
-        if (!last.empty()) names.insert(last);
-      }
-      continue;
-    }
-    if (cpp_keywords().count(x) > 0) continue;
-    // Function declarations and calls: IDENT '(' not behind an access path.
-    if (i + 1 < t.size() && t[i + 1].text == "(") {
-      const bool accessed =
-          i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->" ||
-                    t[i - 1].text == "::");
-      if (!accessed) names.insert(x);
-      continue;
-    }
-    // Constants/variables: IDENT '=' after a type-ish token.
-    if (i > 0 && i + 1 < t.size() && t[i + 1].text == "=" &&
-        (t[i - 1].kind == TokKind::kIdent || t[i - 1].text == ">" ||
-         t[i - 1].text == "*" || t[i - 1].text == "&")) {
-      names.insert(x);
-    }
-  }
-  // Macros: `#define NAME` (the name may be glued to its parameter list).
-  for (const auto& [line, text] : unit.directives) {
-    (void)line;
-    const std::string prefix = "#define ";
-    if (text.rfind(prefix, 0) != 0) continue;
-    std::string rest = text.substr(prefix.size());
-    std::string name;
-    for (char c : rest) {
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        name.push_back(c);
-      } else {
-        break;
-      }
-    }
-    if (!name.empty()) names.insert(name);
-  }
-  return names;
-}
-
-/// Every identifier a TU mentions (tokens plus non-include directive words,
-/// so `#if SOME_MACRO` counts as using SOME_MACRO).
-std::set<std::string> used_names(const Unit& unit) {
-  std::set<std::string> names;
-  for (const auto& tok : unit.tokens) {
-    if (tok.kind == TokKind::kIdent) names.insert(tok.text);
-  }
-  for (const auto& [line, text] : unit.directives) {
-    (void)line;
-    if (text.find("include") != std::string::npos) continue;
-    std::string word;
-    for (char c : text) {
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        word.push_back(c);
-        continue;
-      }
-      if (word.size() > 1) names.insert(word);
-      word.clear();
-    }
-    if (word.size() > 1) names.insert(word);
-  }
-  return names;
-}
-
-std::string strip_ext(const std::string& path) {
-  const auto dot = path.rfind('.');
-  return dot == std::string::npos ? path : path.substr(0, dot);
 }
 
 bool is_header(const std::string& rel) {
@@ -316,7 +182,7 @@ std::vector<Diagnostic> analyze_include_graph(
     const std::vector<SourceFile>& files, const LayerConfig& config) {
   std::vector<Diagnostic> out;
 
-  // Per-file tokenization, include lists, and name sets.
+  // Per-file tokenization and include lists.
   std::map<std::string, std::size_t> by_rel;
   for (std::size_t i = 0; i < files.size(); ++i) by_rel[files[i].rel] = i;
   std::vector<Unit> units;
@@ -394,31 +260,6 @@ std::vector<Diagnostic> analyze_include_graph(
     }
   }
 
-  // --- unused-include (IWYU-lite) ---------------------------------------
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const std::set<std::string> used = used_names(units[i]);
-    for (const auto& inc : includes[i]) {
-      const auto it = by_rel.find(inc.target);
-      if (it == by_rel.end()) continue;  // outside the analyzed set
-      // The associated header is always kept: x.cpp includes x.hpp by
-      // convention even when the interface is consumed elsewhere.
-      if (strip_ext(files[i].rel) == strip_ext(inc.target)) continue;
-      const std::set<std::string> provided = declared_names(units[it->second]);
-      const bool any_used =
-          std::any_of(provided.begin(), provided.end(),
-                      [&](const std::string& name) {
-                        return cpp_keywords().count(name) == 0 &&
-                               used.count(name) > 0;
-                      });
-      if (!any_used) {
-        report(i, "unused-include", inc.line,
-               "'" + inc.target +
-                   "' provides no name this TU uses; drop the include (or "
-                   "allow() it if it is a deliberate re-export)");
-      }
-    }
-  }
-
   std::stable_sort(out.begin(), out.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      return a.file != b.file ? a.file < b.file
@@ -427,8 +268,7 @@ std::vector<Diagnostic> analyze_include_graph(
   return out;
 }
 
-std::vector<Diagnostic> analyze_directory(const std::string& root,
-                                          const LayerConfig& config) {
+std::vector<SourceFile> read_source_tree(const std::string& root) {
   std::vector<SourceFile> files;
   const fs::path base(root);
   for (const auto& entry : fs::recursive_directory_iterator(base)) {
@@ -450,7 +290,7 @@ std::vector<Diagnostic> analyze_directory(const std::string& root,
             [](const SourceFile& a, const SourceFile& b) {
               return a.rel < b.rel;
             });
-  return analyze_include_graph(files, config);
+  return files;
 }
 
 }  // namespace vmincqr::lint

@@ -1,20 +1,17 @@
-// Phase-1 preprocessor-aware include-graph analysis over a file set.
+// Pass 1: preprocessor-aware include-graph analysis over a file set.
 //
-// Three rules:
+// Two rules:
 //   * layer-violation — the declared layering DAG (layers.toml) is the
 //     architecture; an include edge not on it is a cross-layer shortcut.
-//     The load-bearing constraint for this repo: `conformal` must never
-//     include the silicon/netlist/testgen substrates, or the statistical
-//     layer grows a hidden dependency on the simulator it is meant to audit.
+//     The load-bearing constraints for this repo: serve and daemon never
+//     include fit-time model internals, and `conformal` never includes the
+//     silicon/netlist substrates, or the statistical layer grows a hidden
+//     dependency on the simulator it is meant to audit.
 //   * include-cycle — a cycle among project headers (pragma once hides it
 //     at compile time until a reordering breaks the build).
-//   * unused-include — IWYU-lite: a direct quoted include providing no name
-//     the including TU mentions. "Provided names" are the header's declared
-//     identifiers (types, functions, aliases, macros, constants), so the
-//     check is conservative: it only fires when nothing matches.
 //
 // Suppression works like every other rule: `// vmincqr-lint: allow(<rule>)`
-// on the `#include` line (e.g. for deliberate re-export umbrella headers).
+// on the `#include` line.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +44,9 @@ struct SourceFile {
 /// A file maps to the module with the longest matching path prefix (exact
 /// file entries beat directory prefixes). Every module may include itself;
 /// all other edges must be listed under [allow]. Unmapped files are exempt
-/// from the layering rule but still participate in cycle/IWYU analysis.
+/// from the layering rule but still participate in cycle detection.
 ///
-/// [call_forbidden] feeds the phase-4 call-level layering rule
+/// [call_forbidden] feeds the call-level layering rule
 /// (call-layer-violation, callgraph.hpp): functions in the listed module
 /// must not transitively *call* any symbol with one of the listed names,
 /// even when every include edge is legal.
@@ -78,15 +75,14 @@ LayerConfig parse_layers(const std::string& toml_text);
 /// Reads and parses a layers.toml file. Throws on IO or parse errors.
 LayerConfig load_layers(const std::string& path);
 
-/// Runs all three include-graph rules over the file set. Pass a
+/// Runs both include-graph rules over the file set. Pass a
 /// default-constructed LayerConfig (no modules) to skip the layering rule.
 /// allow() suppressions on the offending include line are honored.
 std::vector<Diagnostic> analyze_include_graph(
     const std::vector<SourceFile>& files, const LayerConfig& config);
 
-/// Convenience: collects .hpp/.cpp files under `root` (rel paths computed
-/// against `root`) and analyzes them. Throws on IO errors.
-std::vector<Diagnostic> analyze_directory(const std::string& root,
-                                          const LayerConfig& config);
+/// Reads every .hpp/.cpp file under `root`, with rel paths computed against
+/// `root`, sorted by rel path. Throws on IO errors.
+std::vector<SourceFile> read_source_tree(const std::string& root);
 
 }  // namespace vmincqr::lint

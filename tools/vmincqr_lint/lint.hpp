@@ -1,24 +1,21 @@
-// vmincqr_lint — a self-contained semantic linter for repo invariants the
-// generic tools (clang-tidy, cppcheck) cannot express.
+// vmincqr_lint — a self-contained semantic linter for the repo invariants
+// that CQR's coverage guarantee and the bit-exact determinism contract rest
+// on, which the generic tools (clang-tidy, cppcheck) cannot express:
+// calibration data never reaches fit(), seeds are explicit and never
+// shared, parallel bodies stay schedule-independent, and serving never
+// reaches training code. These are *domain* rules, not C++ rules, so they
+// live here (no libclang dependency; the whole tool builds in well under a
+// second).
 //
-// Why a bespoke linter: CQR's coverage guarantee survives only if the code
-// respects project conventions — strong unit types at public boundaries,
-// runtime contracts on every fit/predict entry point, no exact floating
-// comparisons in statistical code, calibration data that never reaches
-// fit(), and seed discipline across splits. These are *domain* rules, not
-// C++ rules, so they live here (no libclang dependency; the whole tool
-// builds in well under a second).
-//
-// Three phases:
-//   1. include-graph (include_graph.hpp) — layering DAG, cycle detection,
-//      IWYU-lite unused includes. Cross-file; runs when a directory is
-//      linted.
-//   2. per-TU — the token rules below plus the statistical-validity
-//      dataflow rules (dataflow.hpp) over a statement/call view with local
-//      symbol taint tracking.
-//   3. concurrency & determinism (concurrency.hpp) — a lambda/capture parse
-//      over parallel_for/parallel_deterministic_reduce call sites that
-//      enforces the src/parallel/ determinism contract statically.
+// Three passes:
+//   1. include graph (include_graph.hpp) — layering DAG and header cycles.
+//      Cross-file; runs when a directory is linted.
+//   2. per-TU — no-rand and raw-thread (below), the statistical-validity
+//      dataflow rules (dataflow.hpp), and the concurrency & determinism
+//      rules over parallel_for/parallel_deterministic_reduce call sites
+//      (concurrency.hpp).
+//   3. call graph (callgraph.hpp) — transitive parallel context and
+//      call-level layering (serve never reaches fit). Cross-file.
 //
 // Suppression: append `// vmincqr-lint: allow(<rule-id>)` to the offending
 // line, or place it alone on the line above. Several ids may be listed,
@@ -40,53 +37,33 @@ struct RuleInfo {
   const char* rationale;
 };
 
-/// Per-TU rules (token rules + dataflow rules), in the order they run.
-/// Ids are unique and stable; tests assert every fixture maps onto exactly
-/// one of these.
+/// Per-TU rules (pass 2), in the order they run. Ids are unique and
+/// stable; tests assert every fixture maps onto exactly one of these.
 const std::vector<RuleInfo>& rule_table();
 
-/// Cross-file include-graph rules (phase 1). Separate table because these
-/// need the whole file set, not one TU; `--rules` prints both.
+/// Cross-file include-graph rules (pass 1). Separate table because these
+/// need the whole file set, not one TU; `--rules` prints every table.
 const std::vector<RuleInfo>& graph_rule_table();
 
-/// Cross-TU call-graph rules (phase 4, callgraph.hpp). Third table for the
-/// same reason as the graph table: these need the whole file set. The
-/// transitive rng-in-parallel findings reuse the phase-3 rule id, so it is
-/// deliberately absent here.
+/// Cross-TU call-graph rules (pass 3, callgraph.hpp). Third table for the
+/// same reason as the graph table. The transitive rng-in-parallel findings
+/// reuse the per-TU rule id, so it is deliberately absent here.
 const std::vector<RuleInfo>& callgraph_rule_table();
 
-/// Hot-path allocation & copy rules (phase 5, hotpath.hpp). Fourth table:
-/// these run over the serve-reachable and predict-reachable cones of the
-/// phase-4 call graph, so they also need the whole file set.
-const std::vector<RuleInfo>& hotpath_rule_table();
-
-/// Which per-TU phases run. Phase 1 (include graph) and phase 4 (call
-/// graph) operate on the whole file set and are selected by the driver;
-/// phases 2 and 3 are gated here so `--phase=` can slice them apart and so
-/// the tests/bench tier-1 run can drop the style phase.
-struct LintPhases {
-  bool per_tu = true;       // phase 2: token + dataflow rules
-  bool concurrency = true;  // phase 3: concurrency & determinism rules
-};
-
 /// Lints one translation unit given its contents (the unit-testable core).
-/// `path` is used for diagnostics and to decide header-only rules (.hpp).
-/// Runs the token rules and the dataflow rules; include-graph analysis is
-/// separate (include_graph.hpp).
+/// `path` is used for diagnostics and for the path-scoped exemptions
+/// (src/parallel/ may use threads; bench/ and tools/ may read clocks).
 std::vector<Diagnostic> lint_source(const std::string& path,
-                                    const std::string& content,
-                                    const LintPhases& phases = {});
+                                    const std::string& content);
 
 /// Reads `path` and lints it. Throws std::runtime_error if unreadable.
-std::vector<Diagnostic> lint_file(const std::string& path,
-                                  const LintPhases& phases = {});
+std::vector<Diagnostic> lint_file(const std::string& path);
 
 /// Lints many files, one pool task per TU (core::parallel_map — the linter
 /// dogfoods the deterministic pool it polices). The result is globally
 /// sorted by (file, line, rule, message), so output is byte-identical at
 /// every thread width.
-std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths,
-                                   const LintPhases& phases = {});
+std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths);
 
 /// True for files the linter understands (.hpp / .cpp).
 bool is_lintable(const std::string& path);

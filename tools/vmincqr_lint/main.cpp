@@ -4,39 +4,19 @@
 //   vmincqr_lint [options] <file-or-dir>...
 //
 // Options:
-//   --rules               print all three rule tables and exit
-//   --format=text|sarif   output format (default text)
+//   --rules               print every rule table and exit
 //   --layers=FILE         layering DAG config; enables the layer-violation
-//                         rule (phase 1) and seeds the call-level layering
-//                         rule (phase 4) for directory arguments
+//                         rule (pass 1) and the call-level layering rule
+//                         (pass 3) for directory arguments
 //   --include-root=DIR    root against which quoted includes resolve for the
 //                         cross-file passes (default: first directory arg)
-//   --phase=LIST          comma list of phases to run (default 1,2,3,4,5):
-//                         1 include-graph, 2 per-TU token+dataflow,
-//                         3 concurrency, 4 cross-TU call graph,
-//                         5 hot-path allocation & copy analyzer
-//   --tier-manifest=FILE  numeric-tier manifest for the phase-4
-//                         numeric-tier-manifest rule (default: no manifest,
-//                         so any tolerance annotation is a finding)
-//   --hotpath-manifest=FILE
-//                         hot-path allow-alloc manifest for the phase-5
-//                         hot-path-manifest rule (default: no manifest, so
-//                         any allow-alloc annotation is a finding)
-//   --hotpath-report=FILE write the phase-5 per-function cost table
-//                         (alloc sites, copy sites, loop depth) as JSON
-//   --callgraph=FILE      write the phase-4 call graph as Graphviz DOT
-//   --skip=LIST           drop findings for these rule ids (validated)
-//   --only=LIST           keep only findings for these rule ids (validated)
 //   --exclude=SUBSTR      drop collected files whose path contains SUBSTR
 //                         (repeatable; e.g. --exclude=lint_fixtures)
-//   --fix                 apply the mechanically safe fixes (no-endl,
-//                         pragma-once, unordered→sorted container rewrite)
-//                         in place, then re-lint
 //   --budget-ms=N         fail (exit 1) if the whole run exceeds N ms — the
 //                         semantic pass must never slow the tier-1 suite
 //
-// The cross-file passes (1, 4, and 5) run whenever at least one argument is
-// a directory (or --include-root is given); per-TU rules always run.
+// The cross-file passes (1 and 3) run whenever at least one argument is a
+// directory (or --include-root is given); the per-TU rules always run.
 //
 // Exit status: 0 when clean, 1 on any diagnostic (or blown budget), 2 on
 // usage/IO errors.
@@ -46,18 +26,13 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "callgraph.hpp"
-#include "fix.hpp"
-#include "hotpath.hpp"
 #include "include_graph.hpp"
 #include "lint.hpp"
-#include "numeric.hpp"
-#include "sarif.hpp"
 
 namespace fs = std::filesystem;
 
@@ -86,76 +61,33 @@ std::string read_file(const std::string& path) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: vmincqr_lint [--rules] [--format=text|sarif] "
-               "[--layers=FILE] [--include-root=DIR] [--phase=1,2,3,4,5] "
-               "[--tier-manifest=FILE] [--hotpath-manifest=FILE] "
-               "[--hotpath-report=FILE] [--callgraph=FILE] [--skip=LIST] "
-               "[--only=LIST] [--exclude=SUBSTR]... [--fix] "
-               "[--budget-ms=N] <file-or-dir>...\n");
+               "usage: vmincqr_lint [--rules] [--layers=FILE] "
+               "[--include-root=DIR] [--exclude=SUBSTR]... [--budget-ms=N] "
+               "<file-or-dir>...\n");
   return 2;
-}
-
-std::vector<std::string> split_commas(const std::string& list) {
-  std::vector<std::string> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-/// Every rule id across the four tables, for --skip/--only validation —
-/// a typo'd id in CI would otherwise silently filter nothing.
-std::set<std::string> all_rule_ids() {
-  std::set<std::string> ids;
-  for (const auto& r : vmincqr::lint::rule_table()) ids.insert(r.id);
-  for (const auto& r : vmincqr::lint::graph_rule_table()) ids.insert(r.id);
-  for (const auto& r : vmincqr::lint::callgraph_rule_table()) ids.insert(r.id);
-  for (const auto& r : vmincqr::lint::hotpath_rule_table()) ids.insert(r.id);
-  return ids;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
-  std::string format_name = "text";
   std::string layers_path;
   std::string include_root;
-  std::string tier_manifest_path;
-  std::string hotpath_manifest_path;
-  std::string hotpath_report_path;
-  std::string callgraph_path;
-  std::set<int> phases = {1, 2, 3, 4, 5};
-  std::set<std::string> skip_rules;
-  std::set<std::string> only_rules;
   std::vector<std::string> excludes;
-  bool fix = false;
   long budget_ms = -1;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--rules") {
-      for (const auto& rule : vmincqr::lint::rule_table()) {
-        std::printf("%-28s %s\n", rule.id, rule.rationale);
-      }
-      for (const auto& rule : vmincqr::lint::graph_rule_table()) {
-        std::printf("%-28s %s\n", rule.id, rule.rationale);
-      }
-      for (const auto& rule : vmincqr::lint::callgraph_rule_table()) {
-        std::printf("%-28s %s\n", rule.id, rule.rationale);
-      }
-      for (const auto& rule : vmincqr::lint::hotpath_rule_table()) {
-        std::printf("%-28s %s\n", rule.id, rule.rationale);
+      for (const auto* table : {&vmincqr::lint::rule_table(),
+                                &vmincqr::lint::graph_rule_table(),
+                                &vmincqr::lint::callgraph_rule_table()}) {
+        for (const auto& rule : *table) {
+          std::printf("%-28s %s\n", rule.id, rule.rationale);
+        }
       }
       return 0;
-    }
-    if (arg.rfind("--format=", 0) == 0) {
-      format_name = arg.substr(9);
-      if (format_name != "text" && format_name != "sarif") return usage();
-      continue;
     }
     if (arg.rfind("--layers=", 0) == 0) {
       layers_path = arg.substr(9);
@@ -165,47 +97,8 @@ int main(int argc, char** argv) {
       include_root = arg.substr(15);
       continue;
     }
-    if (arg.rfind("--phase=", 0) == 0) {
-      phases.clear();
-      for (const auto& p : split_commas(arg.substr(8))) {
-        if (p != "1" && p != "2" && p != "3" && p != "4" && p != "5") {
-          return usage();
-        }
-        phases.insert(p[0] - '0');
-      }
-      if (phases.empty()) return usage();
-      continue;
-    }
-    if (arg.rfind("--tier-manifest=", 0) == 0) {
-      tier_manifest_path = arg.substr(16);
-      continue;
-    }
-    if (arg.rfind("--hotpath-manifest=", 0) == 0) {
-      hotpath_manifest_path = arg.substr(19);
-      continue;
-    }
-    if (arg.rfind("--hotpath-report=", 0) == 0) {
-      hotpath_report_path = arg.substr(17);
-      continue;
-    }
-    if (arg.rfind("--callgraph=", 0) == 0) {
-      callgraph_path = arg.substr(12);
-      continue;
-    }
-    if (arg.rfind("--skip=", 0) == 0) {
-      for (const auto& id : split_commas(arg.substr(7))) skip_rules.insert(id);
-      continue;
-    }
-    if (arg.rfind("--only=", 0) == 0) {
-      for (const auto& id : split_commas(arg.substr(7))) only_rules.insert(id);
-      continue;
-    }
     if (arg.rfind("--exclude=", 0) == 0) {
       excludes.push_back(arg.substr(10));
-      continue;
-    }
-    if (arg == "--fix") {
-      fix = true;
       continue;
     }
     if (arg.rfind("--budget-ms=", 0) == 0) {
@@ -220,19 +113,6 @@ int main(int argc, char** argv) {
     paths.push_back(arg);
   }
   if (paths.empty()) return usage();
-
-  {
-    const std::set<std::string> known = all_rule_ids();
-    for (const auto* filter : {&skip_rules, &only_rules}) {
-      for (const auto& id : *filter) {
-        if (known.count(id) == 0) {
-          std::fprintf(stderr, "vmincqr_lint: unknown rule id '%s'\n",
-                       id.c_str());
-          return 2;
-        }
-      }
-    }
-  }
 
   std::vector<std::string> files;
   std::vector<std::string> dir_args;
@@ -259,41 +139,14 @@ int main(int argc, char** argv) {
   if (include_root.empty() && !dir_args.empty()) include_root = dir_args[0];
 
   std::vector<vmincqr::lint::Diagnostic> diagnostics;
-  std::vector<vmincqr::lint::TierRecord> tiers;
-  std::vector<vmincqr::lint::HotPathRecord> hotpath_grants;
   try {
-    // --fix first so diagnostics reflect the rewritten tree.
-    if (fix) {
-      for (const auto& file : files) {
-        const std::string before = read_file(file);
-        const std::string after = vmincqr::lint::apply_fixes(file, before);
-        if (after != before) {
-          std::ofstream out(file, std::ios::binary | std::ios::trunc);
-          if (!out) {
-            std::fprintf(stderr, "vmincqr_lint: cannot write %s\n",
-                         file.c_str());
-            return 2;
-          }
-          out << after;
-          std::fprintf(stderr, "vmincqr_lint: fixed %s\n", file.c_str());
-        }
-      }
-    }
+    // Pass 2: per-TU rules, one pool task per file (the linter dogfoods the
+    // deterministic pool). lint_files sorts by (file, line, rule, message),
+    // so output is byte-identical at every thread width.
+    diagnostics = vmincqr::lint::lint_files(files);
 
-    // Phases 2+3: per-TU rules, one pool task per file (the linter dogfoods
-    // the deterministic pool). lint_files sorts by (file, line, rule,
-    // message), so output is byte-identical at every thread width.
-    if (phases.count(2) > 0 || phases.count(3) > 0) {
-      vmincqr::lint::LintPhases per_tu_phases;
-      per_tu_phases.per_tu = phases.count(2) > 0;
-      per_tu_phases.concurrency = phases.count(3) > 0;
-      diagnostics = vmincqr::lint::lint_files(files, per_tu_phases);
-    }
-
-    // Phases 1, 4, and 5 need the whole file set with root-relative paths.
-    if (!include_root.empty() &&
-        (phases.count(1) > 0 || phases.count(4) > 0 ||
-         phases.count(5) > 0)) {
+    // Passes 1 and 3 need the whole file set with root-relative paths.
+    if (!include_root.empty()) {
       vmincqr::lint::LayerConfig config;
       if (!layers_path.empty()) {
         config = vmincqr::lint::load_layers(layers_path);
@@ -311,66 +164,11 @@ int main(int argc, char** argv) {
                    const vmincqr::lint::SourceFile& b) {
                   return a.rel < b.rel;
                 });
-      // Phase 1: include-graph (layering DAG, cycles, IWYU-lite).
-      if (phases.count(1) > 0) {
-        for (auto& d :
-             vmincqr::lint::analyze_include_graph(sources, config)) {
-          diagnostics.push_back(std::move(d));
-        }
+      for (auto& d : vmincqr::lint::analyze_include_graph(sources, config)) {
+        diagnostics.push_back(std::move(d));
       }
-      // Phase 4: cross-TU call graph (transitive parallel context,
-      // call-level layering, numeric-safety tiers).
-      if (phases.count(4) > 0) {
-        vmincqr::lint::CallGraphOptions options;
-        options.layers = config;
-        if (!tier_manifest_path.empty()) {
-          options.tolerance_manifest =
-              vmincqr::lint::load_tier_manifest(tier_manifest_path);
-          options.manifest_display = tier_manifest_path;
-        }
-        options.emit_dot = !callgraph_path.empty();
-        auto analysis = vmincqr::lint::analyze_call_graph(sources, options);
-        for (auto& d : analysis.diagnostics) {
-          diagnostics.push_back(std::move(d));
-        }
-        tiers = std::move(analysis.tiers);
-        if (!callgraph_path.empty()) {
-          std::ofstream out(callgraph_path,
-                            std::ios::binary | std::ios::trunc);
-          if (!out) {
-            std::fprintf(stderr, "vmincqr_lint: cannot write %s\n",
-                         callgraph_path.c_str());
-            return 2;
-          }
-          out << analysis.dot;
-        }
-      }
-      // Phase 5: hot-path allocation & copy analyzer over the serve- and
-      // predict-reachable cones of the call graph.
-      if (phases.count(5) > 0) {
-        vmincqr::lint::HotPathOptions options;
-        options.layers = config;
-        if (!hotpath_manifest_path.empty()) {
-          options.alloc_manifest =
-              vmincqr::lint::load_hotpath_manifest(hotpath_manifest_path);
-          options.manifest_display = hotpath_manifest_path;
-        }
-        auto analysis = vmincqr::lint::analyze_hot_paths(sources, options);
-        for (auto& d : analysis.diagnostics) {
-          diagnostics.push_back(std::move(d));
-        }
-        if (!hotpath_report_path.empty()) {
-          std::ofstream out(hotpath_report_path,
-                            std::ios::binary | std::ios::trunc);
-          if (!out) {
-            std::fprintf(stderr, "vmincqr_lint: cannot write %s\n",
-                         hotpath_report_path.c_str());
-            return 2;
-          }
-          out << vmincqr::lint::hotpath_report_json(analysis);
-        }
-        // After the report: the JSON must carry the grants audit too.
-        hotpath_grants = std::move(analysis.grants);
+      for (auto& d : vmincqr::lint::analyze_call_graph(sources, config)) {
+        diagnostics.push_back(std::move(d));
       }
     }
   } catch (const std::exception& e) {
@@ -378,25 +176,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!skip_rules.empty() || !only_rules.empty()) {
-    diagnostics.erase(
-        std::remove_if(diagnostics.begin(), diagnostics.end(),
-                       [&](const vmincqr::lint::Diagnostic& d) {
-                         if (skip_rules.count(d.rule) > 0) return true;
-                         return !only_rules.empty() &&
-                                only_rules.count(d.rule) == 0;
-                       }),
-        diagnostics.end());
-  }
-
-  if (format_name == "sarif") {
-    std::printf(
-        "%s",
-        vmincqr::lint::to_sarif(diagnostics, tiers, hotpath_grants).c_str());
-  } else {
-    for (const auto& d : diagnostics) {
-      std::printf("%s\n", vmincqr::lint::format(d).c_str());
-    }
+  for (const auto& d : diagnostics) {
+    std::printf("%s\n", vmincqr::lint::format(d).c_str());
   }
 
   const auto elapsed_ms =
@@ -415,8 +196,6 @@ int main(int argc, char** argv) {
                  diagnostics.size(), files.size());
     return 1;
   }
-  if (format_name == "text") {
-    std::printf("vmincqr_lint: %zu file(s) clean\n", files.size());
-  }
+  std::printf("vmincqr_lint: %zu file(s) clean\n", files.size());
   return 0;
 }
