@@ -162,9 +162,9 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
   const double* threshold = threshold_.data();
   const std::int32_t* child = child_.data();
   const double* value = value_.data();
-  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
-                               ? r0 + kTraversalRowBlock
+  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalSubBlock) {
+    const std::size_t r1 = r0 + kTraversalSubBlock < n_rows
+                               ? r0 + kTraversalSubBlock
                                : n_rows;
     if (r1 - r0 < 8) {
       // Too few rows to fill eight row chains: interleave trees instead.
@@ -233,9 +233,9 @@ void FlatForest::predict_rows(const double* x, std::size_t n_rows,
   const double* threshold = threshold_.data();
   const std::int32_t* child = child_.data();
   const double* value = value_.data();
-  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
-                               ? r0 + kTraversalRowBlock
+  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalSubBlock) {
+    const std::size_t r1 = r0 + kTraversalSubBlock < n_rows
+                               ? r0 + kTraversalSubBlock
                                : n_rows;
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       const std::int32_t root = roots_[t];
@@ -322,9 +322,9 @@ void FlatObliviousForest::accumulate(const double* x, std::size_t n_rows,
                                      std::size_t stride, double scale,
                                      double* out) const {
   const std::size_t trees = n_trees();
-  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
-                               ? r0 + kTraversalRowBlock
+  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalSubBlock) {
+    const std::size_t r1 = r0 + kTraversalSubBlock < n_rows
+                               ? r0 + kTraversalSubBlock
                                : n_rows;
     for (std::size_t t = 0; t < trees; ++t) {
       const std::size_t lvl0 = level_offset_[t];

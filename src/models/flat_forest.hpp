@@ -10,8 +10,8 @@
 // forest fits in L2 and stays there across an entire batch.
 //
 // The traversal kernel processes a block of rows per plane sweep: rows outer
-// in blocks of kTraversalRowBlock, trees inner — the row block stays in L1
-// while the node planes stream once per block. Per ROW the accumulation
+// in sub-blocks of kTraversalSubBlock, trees inner — the sub-block stays in
+// L1 while the node planes stream once per sub-block. Per ROW the accumulation
 // order is unchanged from the scalar reference (base term first, then trees
 // in round order, one multiply-add per tree), so flat predictions are
 // BIT-IDENTICAL to the AoS path; this kernel has no fast variant because it
@@ -36,9 +36,16 @@ namespace vmincqr::models {
 struct TreeNode;
 struct ObliviousTree;
 
-/// Rows traversed per plane sweep (8 doubles x 13 features x 256 rows ~ 26KB
-/// of row data resident in L1/L2 while the node planes stream).
+/// Rows per shard of a row-sharded forest predict (GBT predict, the serve
+/// shards): the grain that decides how a batch is split across the pool.
 inline constexpr std::size_t kTraversalRowBlock = 256;
+
+/// Rows traversed per plane sweep inside accumulate() and predict_rows().
+/// The served bundle selects 32 columns, so 64 rows x 32 x 8 B = 16 KB of
+/// row data stays in a 32 KB L1d while the node planes stream; a whole
+/// 256-row block (64 KB) would not. Per-row summation order does not depend
+/// on it, so outputs are bit-identical at any sub-block size.
+inline constexpr std::size_t kTraversalSubBlock = 64;
 
 /// SoA flattening of a binary-tree ensemble (RegressionTree node arrays).
 ///

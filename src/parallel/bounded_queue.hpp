@@ -14,12 +14,13 @@
 //   4. Clean shutdown. close() wakes blocked consumers; items already
 //      admitted keep draining — pop_batch returns 0 only when the queue is
 //      both closed and empty.
-//   5. Spin, then park. An empty pop_batch first polls an atomic size hint
-//      for kSpinBeforePark pauses and only then blocks on the condition
-//      variable. An item that arrives during the spin is taken without the
-//      futex wake of a parked consumer, and the producer's notify_one finds
-//      no sleeper, so it makes no system call either. The hint is only a
-//      hint: every decision is re-made under the lock.
+//   5. Spin, yield, then park. An empty pop_batch first waits in
+//      spin_then_yield (sync.hpp) on two atomic hints, the size and the
+//      closed flag, and only then blocks on the condition variable. An item
+//      that arrives during that wait is taken without the futex wake of a
+//      parked consumer, and the producer's notify_one finds no sleeper, so
+//      it makes no system call either; a close() ends the wait at once. The
+//      hints are only hints: every decision is re-made under the lock.
 //
 // Like everything in src/parallel/, this is the only place the raw std
 // threading primitives it uses may appear (raw-thread lint rule).
@@ -37,14 +38,6 @@
 #include "parallel/sync.hpp"
 
 namespace vmincqr::parallel {
-
-/// cpu_relax() calls an empty pop_batch makes before it parks: about 40 us
-/// on a 4-vCPU x86 host at roughly 20 ns per pause. Bounded by a count, not
-/// a clock (clock-in-hot-path). Long enough to cover the gap between
-/// back-to-back requests of a busy client, short enough that an idle
-/// consumer burns at most one budget of CPU after each batch before it
-/// sleeps.
-inline constexpr int kSpinBeforePark = 2000;
 
 /// try_push outcome: accepted, shed on a full queue, or refused because the
 /// queue is closed (shutdown in progress).
@@ -83,7 +76,7 @@ class BoundedQueue {
       ++next_sequence_;
       items_.push_back(std::move(item));
       if (items_.size() > max_depth_) max_depth_ = items_.size();
-      size_hint_.store(items_.size(), std::memory_order_relaxed);
+      size_hint_.store(items_.size(), std::memory_order_release);
     }
     ready_cv_.notify_one();
     return Push::kAccepted;
@@ -92,23 +85,22 @@ class BoundedQueue {
   /// Blocks until at least one item is available (or the queue is closed),
   /// then moves up to max_items from the front into `out` (cleared first).
   /// Returns the number drained; 0 means closed AND empty — the consumer's
-  /// signal to exit after a clean drain. On an empty queue it spins up to
-  /// kSpinBeforePark pauses before it parks.
+  /// signal to exit after a clean drain. On an empty open queue it waits in
+  /// spin_then_yield before it parks.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
     VMINCQR_REQUIRE(max_items > 0, "BoundedQueue: max_items must be positive");
     out.clear();
-    for (int spin = 0; spin < kSpinBeforePark &&
-                       size_hint_.load(std::memory_order_relaxed) == 0;
-         ++spin) {
-      cpu_relax();
-    }
+    spin_then_yield([this] {
+      return size_hint_.load(std::memory_order_acquire) != 0 ||
+             closed_hint_.load(std::memory_order_acquire);
+    });
     std::unique_lock<std::mutex> lock(mutex_);
     ready_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
     while (!items_.empty() && out.size() < max_items) {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    size_hint_.store(items_.size(), std::memory_order_relaxed);
+    size_hint_.store(items_.size(), std::memory_order_release);
     return out.size();
   }
 
@@ -118,6 +110,7 @@ class BoundedQueue {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       closed_ = true;
+      closed_hint_.store(true, std::memory_order_release);
     }
     ready_cv_.notify_all();
   }
@@ -149,9 +142,10 @@ class BoundedQueue {
   std::size_t max_depth_ = 0;
   std::uint64_t next_sequence_ = 0;
   bool closed_ = false;
-  /// items_.size() as of the last push or pop, stored under mutex_; read
-  /// without it only by pop_batch's spin.
+  /// items_.size() as of the last push or pop and closed_, each stored
+  /// under mutex_; read without it only by pop_batch's wait.
   std::atomic<std::size_t> size_hint_{0};
+  std::atomic<bool> closed_hint_{false};
 };
 
 }  // namespace vmincqr::parallel

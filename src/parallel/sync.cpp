@@ -11,7 +11,7 @@ void OneShotEvent::set() {
 }
 
 void OneShotEvent::wait() const {
-  if (is_set()) return;
+  if (spin_then_yield([this] { return is_set(); })) return;
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, [&] { return set_.load(std::memory_order_acquire); });
 }

@@ -13,6 +13,10 @@
 //   3. Reentrancy. run() from inside a worker task executes inline on that
 //      worker (sequentially, in chunk order) instead of deadlocking on the
 //      pool's own lanes.
+//   4. Cheap join. run()'s caller waits for its workers in spin_then_yield
+//      (sync.hpp) before it parks, so workers that finish soon after it
+//      cost no futex wake. Idle workers park at once: spinning there burns
+//      the cores of an oversubscribed host (see thread_pool.cpp).
 //
 // Thread-count resolution: set_max_threads() override > VMINCQR_THREADS env
 // > std::thread::hardware_concurrency(), min 1.

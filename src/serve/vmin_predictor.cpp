@@ -18,8 +18,9 @@ namespace {
 /// handful of rows costs more than predicting them.
 constexpr std::size_t kMinParallelBatchRows = 16;
 
-/// Rows per dispatch shard — matches models::kTraversalRowBlock so each
-/// shard streams the flattened tree planes exactly once per 256 rows.
+/// Rows per dispatch shard — matches models::kTraversalRowBlock, the grain
+/// GBT predict shards on; inside a shard the forests walk L1-sized
+/// sub-blocks of models::kTraversalSubBlock rows.
 constexpr std::size_t kServeShardRows = 256;
 
 }  // namespace

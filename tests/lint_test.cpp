@@ -1,9 +1,10 @@
 // Golden-file tests for vmincqr_lint: each fixture in tests/lint_fixtures/
-// makes exactly one rule fire, suppressions silence diagnostics, and the
+// makes exactly one rule fire and suppressions silence diagnostics. That the
 // real src/ tree is clean under all three passes (the include-graph pass,
 // the per-TU seed, calibration and concurrency rules, and the cross-TU
-// call-graph pass). Suite names are lowercase so `ctest -R lint` selects
-// every linter-related test.
+// call-graph pass) is the `lint_tree_clean` ctest, which runs the linter
+// binary itself over src/. Suite names are lowercase so `ctest -R lint`
+// selects every linter-related test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -495,31 +496,6 @@ TEST(lint, ParseLayersRejectsMalformedInput) {
                std::runtime_error);
   EXPECT_THROW(parse_layers("[modules]\na = [\"a/\"]\n[allow]\na = [\"b\"]\n"),
                std::runtime_error);
-}
-
-TEST(lint, RealTreeSatisfiesTheLayeringDag) {
-  const LayerConfig config = load_layers(VMINCQR_LINT_LAYERS_TOML);
-  EXPECT_FALSE(config.modules.empty());
-  for (const auto& d :
-       analyze_include_graph(read_source_tree(VMINCQR_LINT_SRC_DIR), config)) {
-    ADD_FAILURE() << vmincqr::lint::format(d);
-  }
-}
-
-TEST(lint, RealTreeIsClean) {
-  std::vector<std::string> files;
-  for (const auto& entry :
-       fs::recursive_directory_iterator(VMINCQR_LINT_SRC_DIR)) {
-    if (entry.is_regular_file() &&
-        vmincqr::lint::is_lintable(entry.path().string())) {
-      files.push_back(entry.path().string());
-    }
-  }
-  ASSERT_GT(files.size(), 50u) << "src tree not found where expected";
-  for (const auto& file : files) {
-    const auto diags = lint_file(file);
-    for (const auto& d : diags) ADD_FAILURE() << vmincqr::lint::format(d);
-  }
 }
 
 // --- cross-TU call graph -------------------------------------------------

@@ -5,7 +5,9 @@
 // contract on the primitives themselves — the end-to-end model-level proof
 // lives in parallel_invariance_test.cpp. Also the control-plane primitives
 // the serving daemon is built from: BoundedQueue's admission, FIFO and
-// spin-then-park wake, and OneShotEvent's lock-free poll.
+// spin-then-park wake, and OneShotEvent's lock-free poll. ParallelSpinWait
+// drives every spin_then_yield handoff with the other side's store landing
+// in each phase of the wait.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -436,6 +438,174 @@ TEST(ParallelOneShotEvent, IsSetPublishesWritesMadeBeforeSet) {
   event.set();  // idempotent
   EXPECT_TRUE(event.is_set());
   setter.join();
+}
+
+// --- spin_then_yield at every handoff ----------------------------------------
+
+/// Pauses one uncontended yield lasts, roughly (0.23 to 0.26 us against 17
+/// to 20 ns per pause).
+constexpr int kPausesPerYield = 12;
+
+/// Where the other side's store lands, counted in pauses from the moment
+/// the waiter signalled that it is about to wait: half-way through the
+/// pause budget, half-way through the yield budget, or well past both (the
+/// waiter has parked). No clock is read; a loaded host only shifts which
+/// phase a delay lands in, and every phase must work.
+struct WaitPhase {
+  const char* name;
+  int pauses;
+};
+
+const WaitPhase kWaitPhases[] = {
+    {"mid-pause", parallel::kSpinBeforePark / 2},
+    {"mid-yield", parallel::kSpinBeforePark +
+                      parallel::kYieldBeforePark / 2 * kPausesPerYield},
+    {"after-park", 10 * (parallel::kSpinBeforePark +
+                         parallel::kYieldBeforePark * kPausesPerYield)},
+};
+
+void delay_into(const WaitPhase& phase) {
+  for (int i = 0; i < phase.pauses; ++i) parallel::cpu_relax();
+}
+
+TEST(ParallelSpinWait, BudgetsAreCounts) {
+  int polls = 0;
+  EXPECT_FALSE(parallel::spin_then_yield([&] {
+    ++polls;
+    return false;
+  }));
+  // One poll before each pause and each yield, and a last one after both.
+  EXPECT_EQ(polls,
+            parallel::kSpinBeforePark + parallel::kYieldBeforePark + 1);
+  polls = 0;
+  EXPECT_TRUE(parallel::spin_then_yield([&] { return ++polls == 3; }));
+  EXPECT_EQ(polls, 3);
+}
+
+TEST(ParallelSpinWait, QueuePushInEveryPhaseWakesTheConsumer) {
+  {
+    // Before the wait: the item is already queued, pop_batch never waits.
+    parallel::BoundedQueue<int> queue(2);
+    ASSERT_EQ(queue.try_push(7), parallel::Push::kAccepted);
+    std::vector<int> batch;
+    ASSERT_EQ(queue.pop_batch(batch, 2), 1u);
+    EXPECT_EQ(batch, (std::vector<int>{7}));
+  }
+  for (const WaitPhase& phase : kWaitPhases) {
+    parallel::BoundedQueue<int> queue(2);
+    parallel::OneShotEvent waiting;
+    std::vector<int> batch;
+    std::size_t drained = 0;
+    parallel::ServiceThread consumer;
+    consumer.start([&] {
+      waiting.set();
+      drained = queue.pop_batch(batch, 2);
+    });
+    waiting.wait();
+    delay_into(phase);
+    ASSERT_EQ(queue.try_push(phase.pauses), parallel::Push::kAccepted);
+    consumer.join();
+    EXPECT_EQ(drained, 1u) << phase.name;
+    EXPECT_EQ(batch, (std::vector<int>{phase.pauses})) << phase.name;
+  }
+}
+
+TEST(ParallelSpinWait, QueueCloseInEveryPhaseEndsTheWait) {
+  for (const WaitPhase& phase : kWaitPhases) {
+    parallel::BoundedQueue<int> queue(2);
+    parallel::OneShotEvent waiting;
+    std::vector<int> batch = {99};
+    std::size_t drained = 1;
+    parallel::ServiceThread consumer;
+    consumer.start([&] {
+      waiting.set();
+      drained = queue.pop_batch(batch, 2);
+    });
+    waiting.wait();
+    delay_into(phase);
+    queue.close();
+    consumer.join();
+    EXPECT_EQ(drained, 0u) << phase.name;
+    EXPECT_TRUE(batch.empty()) << phase.name;
+  }
+}
+
+TEST(ParallelSpinWait, EventSetInEveryPhaseReleasesTheWaiter) {
+  {
+    // Before the wait: wait() returns without waiting.
+    parallel::OneShotEvent event;
+    event.set();
+    event.wait();
+    EXPECT_TRUE(event.is_set());
+  }
+  for (const WaitPhase& phase : kWaitPhases) {
+    parallel::OneShotEvent event;
+    parallel::OneShotEvent waiting;
+    int payload = 0;
+    int seen = 0;
+    parallel::ServiceThread waiter;
+    waiter.start([&] {
+      waiting.set();
+      event.wait();
+      seen = payload;
+    });
+    waiting.wait();
+    delay_into(phase);
+    payload = phase.pauses + 1;
+    event.set();
+    waiter.join();
+    EXPECT_EQ(seen, phase.pauses + 1) << phase.name;
+  }
+}
+
+/// Runs `chunks` chunks on the pool and checks each ran exactly once.
+void expect_every_chunk_runs(std::size_t chunks, const char* what) {
+  std::vector<int> hits(chunks, 0);
+  parallel::ThreadPool::instance().run(chunks,
+                                       [&](std::size_t c) { ++hits[c]; });
+  EXPECT_EQ(hits, std::vector<int>(chunks, 1)) << what;
+}
+
+TEST(ParallelSpinWait, PoolRunAfterItsWorkersParked) {
+  ThreadOverrideGuard guard;
+  parallel::set_max_threads(4);
+  for (const WaitPhase& phase : kWaitPhases) {
+    // Idle workers park at once, so the second run finds them parking
+    // (mid-pause) or parked, and only the notify can wake them.
+    expect_every_chunk_runs(8, phase.name);
+    delay_into(phase);
+    expect_every_chunk_runs(8, phase.name);
+  }
+}
+
+TEST(ParallelSpinWait, PoolCallerWaitEndsInEveryPhase) {
+  ThreadOverrideGuard guard;
+  parallel::set_max_threads(2);
+  for (const WaitPhase& phase : kWaitPhases) {
+    // Chunk 0 runs on the caller (lane 0) and returns at once, so run()'s
+    // wait for its worker lands in `phase` while chunk 1 is delayed.
+    std::vector<int> done(2, 0);
+    parallel::ThreadPool::instance().run(2, [&](std::size_t c) {
+      if (c == 1) delay_into(phase);
+      done[c] = 1;
+    });
+    EXPECT_EQ(done, (std::vector<int>{1, 1})) << phase.name;
+  }
+}
+
+TEST(ParallelSpinWait, ShutdownAndResizeRightAfterARun) {
+  ThreadOverrideGuard guard;
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    const auto width = static_cast<std::size_t>(cycle % 4 + 1);
+    // Each call below lands right after a run() returned on the caller's
+    // spin, while its workers are still leaving their lanes for the idle
+    // wait: the stop must reach them there, not be missed.
+    parallel::set_max_threads(width);
+    expect_every_chunk_runs(9, "after set_max_threads");
+    parallel::ThreadPool::instance().shutdown();
+    expect_every_chunk_runs(9, "after shutdown");
+    EXPECT_EQ(parallel::ThreadPool::instance().n_threads(), width);
+  }
 }
 
 }  // namespace
