@@ -1,7 +1,7 @@
 // Ablation bench for the design choices called out in DESIGN.md Sec. 6:
 //
 //   A. Conformal-variant shootout at one representative scenario:
-//      split CP vs CQR vs Mondrian CQR vs normalized CP vs CV+ — coverage
+//      split CP vs CQR vs normalized CP vs CV+ — coverage
 //      and mean length under the same 4-fold protocol.
 //   B. Calibration-fraction sweep: the paper's 75/25 split vs alternatives.
 //   C. Alpha sweep: empirical coverage tracks 1 - alpha for CQR.
@@ -11,13 +11,11 @@
 
 #include "conformal/cqr.hpp"
 #include "conformal/cv_plus.hpp"
-#include "conformal/mondrian.hpp"
 #include "conformal/normalized.hpp"
 #include "conformal/split_cp.hpp"
 #include "data/feature_select.hpp"
 #include "data/split.hpp"
 #include "models/ordered_boost.hpp"
-#include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
 
 using namespace vmincqr;
@@ -108,16 +106,6 @@ int main() {
         std::make_unique<conformal::ConformalizedQuantileRegressor>(
             core::MiscoverageAlpha{alpha}, models::make_quantile_pair(models::ModelKind::kCatboost,
                                               core::MiscoverageAlpha{alpha})));
-    // Mondrian grouping: split on the strongest feature's median as a proxy
-    // for a process-corner group.
-    const double split_value = stats::mean(data.x.col(0));
-    add("Mondrian CQR (LR)",
-        std::make_unique<conformal::MondrianCqr>(
-            core::MiscoverageAlpha{alpha},
-            models::make_quantile_pair(models::ModelKind::kLinear, core::MiscoverageAlpha{alpha}),
-            [split_value](const double* row, std::size_t) {
-              return row[0] > split_value ? 1 : 0;
-            }));
     add("Normalized CP (LR+CB)",
         std::make_unique<conformal::NormalizedConformalRegressor>(
             core::MiscoverageAlpha{alpha}, models::make_point_regressor(models::ModelKind::kLinear),

@@ -8,11 +8,9 @@
 //   * otherwise                -> RETEST (interval straddles the limit)
 // Compared against the point-prediction rule (pass iff y_hat <= min_spec),
 // which silently converts interval uncertainty into overkill/underkill.
-#include <algorithm>
 #include <cstdio>
 
 #include "conformal/cqr.hpp"
-#include "conformal/predictive.hpp"
 #include "core/pipeline.hpp"
 #include "core/screening.hpp"
 #include "data/feature_select.hpp"
@@ -85,28 +83,8 @@ int main() {
               point_rule.n_pass, point_rule.n_fail, point_rule.n_overkill,
               point_rule.n_underkill);
 
-  // Risk view: calibrated per-chip P(Vmin > min_spec) from the conformal
-  // predictive distribution — a graded alternative to pass/fail.
-  conformal::ConformalPredictiveDistribution cps(
-      models::make_point_regressor(models::ModelKind::kLinear));
-  cps.fit(x_train.take_cols(cols), y_train);
-  const auto risk =
-      cps.exceedance_probabilities(x_screen.take_cols(cols), min_spec);
-  std::vector<std::size_t> order(risk.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return risk[a] > risk[b]; });
-  std::printf("highest calibrated shipping risk P(Vmin > min_spec):\n");
-  for (std::size_t k = 0; k < 5 && k < order.size(); ++k) {
-    const auto i = order[k];
-    std::printf("  chip %-4zu risk=%5.1f%%  true Vmin=%.0f mV (%s)\n",
-                screen_rows[i], risk[i] * 100.0, y_screen[i] * 1e3,
-                y_screen[i] > min_spec ? "out of spec" : "in spec");
-  }
-
   std::printf(
-      "\nThe interval rule converts uncertain calls into explicit retests\n"
-      "instead of silent overkill/underkill (Sec. II-B), and the conformal\n"
-      "predictive distribution grades the remaining shipping risk per chip.\n");
+      "The interval rule converts uncertain calls into explicit retests\n"
+      "instead of silent overkill/underkill (Sec. II-B).\n");
   return 0;
 }

@@ -14,6 +14,12 @@ std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle) {
   if (!bundle.predictor) {
     throw std::invalid_argument("encode_bundle: null predictor");
   }
+  const auto* cqr = dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(
+      bundle.predictor.get());
+  if (cqr == nullptr) {
+    throw ArtifactError("unsupported predictor type: " +
+                        bundle.predictor->name() + " (PRED holds a CQR model)");
+  }
   Writer writer;
 
   writer.begin_chunk(ChunkKind::kMeta);
@@ -37,7 +43,7 @@ std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle) {
   }
 
   writer.begin_chunk(ChunkKind::kPredictor);
-  encode_interval_regressor(writer, *bundle.predictor);
+  encode_cqr(writer, *cqr);
   writer.end_chunk();
 
   return writer.finish();
@@ -46,49 +52,40 @@ std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle) {
 VminBundle decode_bundle(const std::vector<std::uint8_t>& bytes) {
   Reader reader = Reader::open(bytes);
   VminBundle bundle;
-  bundle.format_version = reader.format_version();
 
-  bool saw_meta = false;
-  bool saw_columns = false;
-  while (!reader.at_end()) {
-    Reader::Chunk chunk = reader.next_chunk();
-    Reader& body = chunk.payload;
-    switch (chunk.kind) {
-      case ChunkKind::kMeta:
-        bundle.scenario.read_point_hours = body.get_f64();
-        bundle.scenario.temperature_c = body.get_f64();
-        bundle.scenario.feature_set = body.get_u8();
-        bundle.scenario.monitor_horizon_hours = body.get_f64();
-        bundle.label = body.get_str();
-        saw_meta = true;
-        break;
-      case ChunkKind::kColumns:
-        bundle.dataset_columns = body.get_index_vec();
-        bundle.selected_features = body.get_index_vec();
-        saw_columns = true;
-        break;
-      case ChunkKind::kInputScaler:
-        bundle.input_scaler.means = body.get_vec();
-        bundle.input_scaler.scales = body.get_vec();
-        bundle.has_input_scaler = true;
-        break;
-      case ChunkKind::kPredictor:
-        if (bundle.predictor) {
-          throw ArtifactError("duplicate PRED chunk");
-        }
-        bundle.predictor = decode_interval_regressor(body);
-        break;
-      default:
-        // Strict for v1: every chunk kind is load-bearing, so an unknown tag
-        // means corruption (a future version bump relaxes this to skip).
-        throw ArtifactError("unknown bundle chunk '" +
-                            chunk_kind_name(chunk.kind) + "'");
-    }
+  Reader meta = reader.expect_chunk(ChunkKind::kMeta);
+  bundle.scenario.read_point_hours = meta.get_f64();
+  bundle.scenario.temperature_c = meta.get_f64();
+  bundle.scenario.feature_set = meta.get_u8();
+  bundle.scenario.monitor_horizon_hours = meta.get_f64();
+  bundle.label = meta.get_str();
+  meta.expect_end(ChunkKind::kMeta);
+
+  Reader columns = reader.expect_chunk(ChunkKind::kColumns);
+  bundle.dataset_columns = columns.get_index_vec();
+  bundle.selected_features = columns.get_index_vec();
+  columns.expect_end(ChunkKind::kColumns);
+
+  if (reader.at_end()) throw ArtifactError("bundle missing PRED chunk");
+  Reader::Chunk chunk = reader.next_chunk();
+  if (chunk.kind == ChunkKind::kInputScaler) {
+    bundle.input_scaler.means = chunk.payload.get_vec();
+    bundle.input_scaler.scales = chunk.payload.get_vec();
+    chunk.payload.expect_end(ChunkKind::kInputScaler);
+    bundle.has_input_scaler = true;
+    if (reader.at_end()) throw ArtifactError("bundle missing PRED chunk");
+    chunk = reader.next_chunk();
+  }
+  if (chunk.kind != ChunkKind::kPredictor) {
+    throw ArtifactError("expected chunk 'PRED', found '" +
+                        chunk_kind_name(chunk.kind) + "'");
+  }
+  bundle.predictor = decode_cqr(chunk.payload);
+  chunk.payload.expect_end(ChunkKind::kPredictor);
+  if (!reader.at_end()) {
+    throw ArtifactError("unexpected chunk after PRED");
   }
 
-  if (!saw_meta) throw ArtifactError("bundle missing META chunk");
-  if (!saw_columns) throw ArtifactError("bundle missing COLS chunk");
-  if (!bundle.predictor) throw ArtifactError("bundle missing PRED chunk");
   for (const std::size_t selected : bundle.selected_features) {
     if (selected >= bundle.dataset_columns.size()) {
       throw ArtifactError("selected feature index " +
@@ -162,7 +159,7 @@ std::string debug_json(const VminBundle& bundle) {
                   "debug_json: null predictor in bundle");
   std::ostringstream out;
   out << "{\n";
-  out << "  \"format_version\": " << bundle.format_version << ",\n";
+  out << "  \"format_version\": " << kFormatVersion << ",\n";
   out << "  \"label\": \"" << escaped(bundle.label) << "\",\n";
   out << "  \"scenario\": {\"read_point_hours\": "
       << bundle.scenario.read_point_hours

@@ -9,7 +9,10 @@
 //   COLS  dataset column ids + the fit-time selected feature subset
 //   SCAL  optional serve-side input scaler (absent when models scale
 //         internally, which all current models do)
-//   PRED  exactly one nested predictor chunk (see model_codec.hpp)
+//   PRED  exactly one CQRC(QPAR(point, point)) predictor (see
+//         model_codec.hpp)
+//
+//   file := "VQAF" v3 META COLS [SCAL] PRED CSUM
 //
 // The scenario is stored as a plain POD (ScenarioSpec) rather than
 // core::Scenario so artifacts stay decodable below the orchestration layer
@@ -38,7 +41,6 @@ struct ScenarioSpec {
 
 /// One saved screen: scenario + column bookkeeping + the fitted predictor.
 struct VminBundle {
-  std::uint32_t format_version = kFormatVersion;
   ScenarioSpec scenario;
   /// Human-readable predictor label, e.g. "CQR QR Linear Regression".
   std::string label;
@@ -52,12 +54,14 @@ struct VminBundle {
   /// models standardize internally, so this is typically absent.
   bool has_input_scaler = false;
   data::ScalerParams input_scaler;
-  /// The fitted, calibrated predictor (never null in a valid bundle).
+  /// The fitted, calibrated predictor (never null in a valid bundle). Only a
+  /// conformal::ConformalizedQuantileRegressor over a quantile pair encodes.
   std::unique_ptr<models::IntervalRegressor> predictor;
 };
 
 /// Serializes a bundle to VQAF bytes. Throws std::invalid_argument on a null
-/// predictor; std::logic_error if the predictor is unfitted/uncalibrated.
+/// predictor; ArtifactError if it is not a CQR over a quantile pair of
+/// encodable point models; std::logic_error if it is unfitted/uncalibrated.
 [[nodiscard]] std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle);
 
 /// Parses VQAF bytes back into a bundle (predictions bit-exact with the
@@ -69,9 +73,8 @@ struct VminBundle {
 void save_artifact(const VminBundle& bundle, const std::string& path);
 [[nodiscard]] VminBundle load_artifact(const std::string& path);
 
-/// Debug-JSON rendering of a decoded bundle: scenario, columns, predictor
-/// shape. Long index lists are elided with a count. Complements
-/// chunk_tree_json (raw structure) with decoded values.
+/// Debug-JSON rendering of a decoded bundle: format version, scenario,
+/// columns, predictor shape. Long index lists are elided with a count.
 [[nodiscard]] std::string debug_json(const VminBundle& bundle);
 
 }  // namespace vmincqr::artifact

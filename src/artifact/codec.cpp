@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cstddef>
-#include <sstream>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -14,14 +13,6 @@ namespace {
 
 constexpr std::size_t kU32Size = 4;
 constexpr std::size_t kU64Size = 8;
-
-bool printable_fourcc(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    const auto byte = static_cast<unsigned char>((value >> shift) & 0xFFU);
-    if (byte < 0x20 || byte > 0x7E) return false;
-  }
-  return true;
-}
 
 /// Byte size of the encoded trailing CSUM chunk: kind + size + crc payload.
 constexpr std::size_t kChecksumChunkBytes = kU32Size + kU64Size + kU32Size;
@@ -144,7 +135,7 @@ std::vector<std::uint8_t> Writer::finish() {
   VMINCQR_REQUIRE(open_size_offsets_.empty(),
                   "Writer::finish: unclosed chunk");
   VMINCQR_REQUIRE(!finished_, "Writer::finish: already finished");
-  // v3 seal: CRC-32 over everything written so far (header included),
+  // Seal: CRC-32 over everything written so far (header included),
   // carried in a final CSUM chunk. Computed before the chunk is appended,
   // so the seal covers exactly the bytes Reader::open re-hashes.
   const std::uint32_t crc = crc32(bytes_.data(), bytes_.size());
@@ -169,37 +160,32 @@ Reader Reader::open(const std::vector<std::uint8_t>& bytes) {
     throw ArtifactError("bad magic: not a VQAF artifact");
   }
   const std::uint32_t version = header.get_u32();
-  if (version == 0 || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     throw ArtifactError("unsupported format version " +
-                        std::to_string(version) + " (reader supports up to " +
+                        std::to_string(version) + " (reader supports only " +
                         std::to_string(kFormatVersion) + ")");
   }
-  header.format_version_ = version;
-  if (version >= kChecksumVersion) {
-    // The artifact must end with a CSUM chunk sealing every preceding byte.
-    // Verify BEFORE any chunk parsing — a corrupted chunk header must not
-    // get the chance to misdirect the parse — then strip the seal from the
-    // readable region so decoders never see it.
-    if (header.remaining() < kChecksumChunkBytes) {
-      throw ArtifactError("v" + std::to_string(version) +
-                          " artifact missing trailing CSUM chunk");
-    }
-    const std::uint8_t* const seal_begin =
-        header.end_ - static_cast<std::ptrdiff_t>(kChecksumChunkBytes);
-    Reader seal(seal_begin, header.end_);
-    if (static_cast<ChunkKind>(seal.get_u32()) != ChunkKind::kChecksum ||
-        seal.get_u64() != kU32Size) {
-      throw ArtifactError("v" + std::to_string(version) +
-                          " artifact missing trailing CSUM chunk");
-    }
-    const std::uint32_t stored = seal.get_u32();
-    const std::uint32_t actual = crc32(
-        bytes.data(), static_cast<std::size_t>(seal_begin - bytes.data()));
-    if (stored != actual) {
-      throw ArtifactError("checksum mismatch: artifact bytes are corrupted");
-    }
-    header.end_ = seal_begin;
+  // The artifact must end with a CSUM chunk sealing every preceding byte.
+  // Verify BEFORE any chunk parsing — a corrupted chunk header must not get
+  // the chance to misdirect the parse — then strip the seal from the
+  // readable region so decoders never see it.
+  if (header.remaining() < kChecksumChunkBytes) {
+    throw ArtifactError("artifact missing trailing CSUM chunk");
   }
+  const std::uint8_t* const seal_begin =
+      header.end_ - static_cast<std::ptrdiff_t>(kChecksumChunkBytes);
+  Reader seal(seal_begin, header.end_);
+  if (static_cast<ChunkKind>(seal.get_u32()) != ChunkKind::kChecksum ||
+      seal.get_u64() != kU32Size) {
+    throw ArtifactError("artifact missing trailing CSUM chunk");
+  }
+  const std::uint32_t stored = seal.get_u32();
+  const std::uint32_t actual = crc32(
+      bytes.data(), static_cast<std::size_t>(seal_begin - bytes.data()));
+  if (stored != actual) {
+    throw ArtifactError("checksum mismatch: artifact bytes are corrupted");
+  }
+  header.end_ = seal_begin;
   return header;
 }
 
@@ -220,7 +206,6 @@ Reader::Chunk Reader::next_chunk() {
   const std::uint64_t size = get_u64();
   need(static_cast<std::size_t>(size));
   Reader payload(cursor_, cursor_ + size);
-  payload.format_version_ = format_version_;
   cursor_ += size;
   return {static_cast<ChunkKind>(kind), payload};
 }
@@ -232,6 +217,13 @@ Reader Reader::expect_chunk(ChunkKind kind) {
                         "', found '" + chunk_kind_name(chunk.kind) + "'");
   }
   return chunk.payload;
+}
+
+void Reader::expect_end(ChunkKind kind) const {
+  if (!at_end()) {
+    throw ArtifactError(std::to_string(remaining()) + " trailing bytes in '" +
+                        chunk_kind_name(kind) + "' chunk");
+  }
 }
 
 std::uint8_t Reader::get_u8() {
@@ -314,67 +306,6 @@ Matrix Reader::get_matrix() {
   Vector data(rows * cols);
   for (double& v : data) v = get_f64();
   return Matrix::from_rows(rows, cols, std::move(data));
-}
-
-// ---------------------------------------------------------------------------
-// Debug rendering
-
-namespace {
-
-// A payload "looks like" a chunk sequence when it parses end-to-end as
-// printable-FourCC chunks whose sizes tile the region exactly. False
-// positives are possible in principle but harmless: this is a debug view.
-bool parses_as_chunks(Reader region) {
-  if (region.at_end()) return false;
-  try {
-    while (!region.at_end()) {
-      if (region.remaining() < kU32Size + kU64Size) return false;
-      Reader probe = region;  // peek the kind without consuming
-      if (!printable_fourcc(probe.get_u32())) return false;
-      (void)region.next_chunk();  // bounds-checked skip over the payload
-    }
-  } catch (const ArtifactError&) {
-    return false;
-  }
-  return true;
-}
-
-void render_chunks(Reader region, std::ostringstream& out, int indent);
-
-void render_chunk(const Reader::Chunk& chunk, std::ostringstream& out,
-                  int indent) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  out << pad << "{\"kind\": \"" << chunk_kind_name(chunk.kind)
-      << "\", \"size\": " << chunk.payload.remaining();
-  if (parses_as_chunks(chunk.payload)) {
-    out << ", \"children\": [\n";
-    render_chunks(chunk.payload, out, indent + 1);
-    out << pad << "]}";
-  } else {
-    out << "}";
-  }
-}
-
-void render_chunks(Reader region, std::ostringstream& out, int indent) {
-  bool first = true;
-  while (!region.at_end()) {
-    if (!first) out << ",\n";
-    first = false;
-    render_chunk(region.next_chunk(), out, indent);
-  }
-  out << "\n";
-}
-
-}  // namespace
-
-std::string chunk_tree_json(const std::vector<std::uint8_t>& bytes) {
-  Reader reader = Reader::open(bytes);
-  std::ostringstream out;
-  out << "{\"format\": \"VQAF\", \"version\": " << reader.format_version()
-      << ", \"chunks\": [\n";
-  render_chunks(reader, out, 1);
-  out << "]}";
-  return out.str();
 }
 
 }  // namespace vmincqr::artifact

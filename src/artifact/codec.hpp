@@ -6,12 +6,14 @@
 //   file   := magic:u32 ("VQAF") version:u32 chunk*
 //   chunk  := kind:u32 (FourCC) payload_size:u64 payload:bytes
 //
-// Chunks nest freely: a payload may itself be a chunk sequence, which is how
-// composite predictors (quantile pairs, conformal wrappers) serialize their
-// children. Writer backpatches each chunk's size on end_chunk(), so encoders
-// never precompute payload lengths. Reader is bounds-checked everywhere and
-// throws ArtifactError on truncation, bad magic, or an unsupported version —
-// it never reads past the buffer and never trusts an embedded length.
+// Chunk payloads may themselves hold chunks: a bundle's PRED chunk holds the
+// conformal wrapper, which holds the quantile pair, which holds its two point
+// models (the grammar is in bundle.hpp and model_codec.hpp). Writer
+// backpatches each chunk's size on end_chunk(), so encoders never precompute
+// payload lengths. Reader is bounds-checked everywhere and throws
+// ArtifactError on truncation, bad magic, a bad seal, or any format version
+// but kFormatVersion — it never reads past the buffer and never trusts an
+// embedded length.
 #pragma once
 
 #include <cstdint>
@@ -41,54 +43,39 @@ class ArtifactError : public std::runtime_error {
 }
 
 inline constexpr std::uint32_t kMagic = fourcc('V', 'Q', 'A', 'F');
-/// Version history:
-///   1 — initial format; GBT trees as interleaved per-node records.
-///   2 — GBT trees as SoA node planes (is_leaf / feature / threshold /
-///       left / right / value / leaf_id / gain), mirroring the flat-forest
-///       traversal layout so decode feeds the planes without a transpose.
-///   3 — mandatory trailing CSUM chunk: CRC-32 (IEEE, reflected) of every
-///       preceding byte, header included. Writer::finish appends it;
-///       Reader::open verifies it BEFORE any chunk parsing and strips it
-///       from the readable region, so decoders never see it. A CRC-32
-///       detects every burst error up to 32 bits — in particular any
-///       single flipped byte anywhere in the artifact — turning silent
-///       payload corruption (e.g. a damaged IEEE-754 coefficient that
-///       still parses) into a hard ArtifactError at load time. A CSUM
-///       chunk in a v1/v2 stream is rejected as an unknown chunk, so
-///       corrupting a v3 header's version field cannot skip verification.
-/// Writers emit kFormatVersion; Reader::open accepts every version in
-/// [1, kFormatVersion] and decoders branch on Reader::format_version().
+/// The one format version this reader accepts. Version 3 is the first whose
+/// artifacts end in a CSUM chunk: a CRC-32 (IEEE, reflected) of every
+/// preceding byte, header included. Writer::finish appends it; Reader::open
+/// verifies it BEFORE any chunk parsing and strips it from the readable
+/// region, so decoders never see it. A CRC-32 detects every burst error up to
+/// 32 bits — in particular any single flipped byte anywhere in the artifact —
+/// turning silent payload corruption (e.g. a damaged IEEE-754 coefficient
+/// that still parses) into a hard ArtifactError at load time. The unsealed
+/// versions 1 and 2 are rejected like any other version but this one.
 inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// First format version whose artifacts carry the trailing CSUM chunk.
-inline constexpr std::uint32_t kChecksumVersion = 3;
-
-/// Chunk tags. Bundle-level chunks first, then one tag per serializable
-/// predictor type (the tag doubles as the type discriminator).
+/// Chunk tags. Bundle-level chunks first, then the predictor chunks of the
+/// one shipped shape, CQRC(QPAR(point, point)); a point tag doubles as its
+/// model's type discriminator.
 enum class ChunkKind : std::uint32_t {
   kMeta = fourcc('M', 'E', 'T', 'A'),          ///< scenario + label
   kColumns = fourcc('C', 'O', 'L', 'S'),       ///< dataset + selected columns
   kInputScaler = fourcc('S', 'C', 'A', 'L'),   ///< optional serve-side scaler
   kPredictor = fourcc('P', 'R', 'E', 'D'),     ///< wraps one predictor chunk
   kLinear = fourcc('L', 'I', 'N', 'R'),
-  kElasticNet = fourcc('E', 'N', 'E', 'T'),
   kGbt = fourcc('G', 'B', 'T', 'R'),
   kOrderedBoost = fourcc('O', 'B', 'S', 'T'),
-  kGp = fourcc('G', 'P', 'R', 'G'),
   kMlp = fourcc('M', 'L', 'P', 'R'),
   kQuantilePair = fourcc('Q', 'P', 'A', 'R'),
-  kGpInterval = fourcc('G', 'P', 'I', 'V'),
   kCqr = fourcc('C', 'Q', 'R', 'C'),
-  kSplitCp = fourcc('S', 'C', 'P', 'C'),
-  kNormalizedCp = fourcc('N', 'C', 'P', 'C'),
-  kChecksum = fourcc('C', 'S', 'U', 'M'),  ///< trailing CRC-32 seal (v3+)
+  kChecksum = fourcc('C', 'S', 'U', 'M'),  ///< trailing CRC-32 seal
 };
 
 /// Human-readable FourCC, e.g. "META" (non-printable bytes escape to '?').
 [[nodiscard]] std::string chunk_kind_name(ChunkKind kind);
 
 /// CRC-32 (IEEE 802.3, reflected, init/final-xor 0xFFFFFFFF) — the integrity
-/// seal behind the v3 CSUM chunk. Exposed for tests and external tooling.
+/// seal behind the CSUM chunk. Exposed for tests and external tooling.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 /// Streams the compact binary encoding. Scalars outside a chunk are legal
@@ -122,14 +109,15 @@ class Writer {
 };
 
 /// Bounds-checked cursor over an encoded region. Obtain the top-level reader
-/// via open() (validates magic + version); chunk payloads hand out nested
-/// readers confined to the payload bytes.
+/// via open() (validates magic, version and seal); chunk payloads hand out
+/// nested readers confined to the payload bytes.
 class Reader {
  public:
   struct Chunk;  // { kind, payload } — defined below (needs complete Reader)
 
-  /// Validates the header and returns a reader over the chunk region.
-  /// Throws ArtifactError on bad magic or an unsupported format version.
+  /// Validates the header and the CSUM seal and returns a reader over the
+  /// chunk region before the seal. Throws ArtifactError on bad magic, any
+  /// version but kFormatVersion, or a missing or mismatched seal.
   [[nodiscard]] static Reader open(const std::vector<std::uint8_t>& bytes);
 
   Reader(const std::uint8_t* begin, const std::uint8_t* end);
@@ -138,15 +126,14 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - cursor_);
   }
-  /// Format version of the enclosing artifact (nested readers inherit it).
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return format_version_;
-  }
 
   /// Reads one chunk header + payload, advancing past the whole chunk.
   [[nodiscard]] Chunk next_chunk();
   /// next_chunk() that must yield `kind`; throws ArtifactError otherwise.
   [[nodiscard]] Reader expect_chunk(ChunkKind kind);
+  /// Throws ArtifactError unless every byte of this `kind` payload was read:
+  /// a payload holds exactly what its grammar rule says.
+  void expect_end(ChunkKind kind) const;
 
   [[nodiscard]] std::uint8_t get_u8();
   [[nodiscard]] std::uint32_t get_u32();
@@ -164,7 +151,6 @@ class Reader {
 
   const std::uint8_t* cursor_;
   const std::uint8_t* end_;
-  std::uint32_t format_version_ = kFormatVersion;
 };
 
 /// One decoded chunk: its tag and a reader confined to its payload bytes.
@@ -172,11 +158,5 @@ struct Reader::Chunk {
   ChunkKind kind;
   Reader payload;
 };
-
-/// Debug rendering of the raw chunk tree as JSON: kinds, sizes, and nesting
-/// (payloads that parse as well-formed chunk sequences recurse). Structure
-/// only — decoded parameter values are rendered by artifact::debug_json in
-/// bundle.hpp. Throws ArtifactError on a bad header.
-[[nodiscard]] std::string chunk_tree_json(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace vmincqr::artifact

@@ -3,12 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "conformal/cqr.hpp"
-#include "conformal/normalized.hpp"
-#include "conformal/split_cp.hpp"
-#include "models/elastic_net.hpp"
 #include "models/gbt.hpp"
-#include "models/gp.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
 #include "models/ordered_boost.hpp"
@@ -59,42 +54,9 @@ MiscoverageAlpha get_alpha(Reader& reader) {
   }
 }
 
-void put_gp_body(Writer& writer, const models::GpParams& params) {
-  put_scaler(writer, params.scaler);
-  put_label_scaler(writer, params.label);
-  writer.put_matrix(params.x_train);
-  writer.put_matrix(params.chol);
-  writer.put_vec(params.weights);
-  writer.put_f64(params.length_scale);
-  writer.put_f64(params.noise_variance);
-  writer.put_f64(params.signal_variance);
-  writer.put_f64(params.log_marginal_likelihood);
-}
-
-models::GpParams get_gp_body(Reader& reader) {
-  models::GpParams params;
-  params.scaler = get_scaler(reader);
-  params.label = get_label_scaler(reader);
-  params.x_train = reader.get_matrix();
-  params.chol = reader.get_matrix();
-  params.weights = reader.get_vec();
-  params.length_scale = reader.get_f64();
-  params.noise_variance = reader.get_f64();
-  params.signal_variance = reader.get_f64();
-  params.log_marginal_likelihood = reader.get_f64();
-  return params;
-}
-
 // --- point-model payloads --------------------------------------------------
 
 void put_linear_body(Writer& writer, const models::LinearParams& params) {
-  put_scaler(writer, params.scaler);
-  put_label_scaler(writer, params.label);
-  writer.put_vec(params.coef);
-}
-
-void put_elastic_net_body(Writer& writer,
-                          const models::ElasticNetParams& params) {
   put_scaler(writer, params.scaler);
   put_label_scaler(writer, params.label);
   writer.put_vec(params.coef);
@@ -109,9 +71,9 @@ void put_mlp_body(Writer& writer, const models::MlpParams& params) {
   writer.put_f64(params.b2);
 }
 
-// v2 encoding: SoA node planes over the whole forest, in tree order — the
-// same layout the flat-forest traversal kernel consumes, so decode fills
-// planes instead of transposing per-node records.
+// SoA node planes over the whole forest, in tree order — the same layout the
+// flat-forest traversal kernel consumes, so decode fills planes instead of
+// transposing per-node records.
 void put_gbt_body(Writer& writer, const models::GbtParams& params) {
   writer.put_f64(params.base_score);
   writer.put_f64(params.learning_rate);
@@ -169,42 +131,10 @@ void put_gbt_body(Writer& writer, const models::GbtParams& params) {
   writer.put_vec(f64_plane);
 }
 
-// Legacy (format version 1) decode: interleaved per-node records.
-//
 // The per-tree node vector is allocated per tree on purpose: each tree owns
 // its node storage and the vector is moved into params.trees, so a hoisted
 // buffer would be re-allocated after every move anyway.
-models::GbtParams get_gbt_body_v1(Reader& reader) {
-  models::GbtParams params;
-  params.base_score = reader.get_f64();
-  params.learning_rate = reader.get_f64();
-  params.n_features = reader.get_u64();
-  const std::uint64_t n_trees = reader.get_u64();
-  params.trees.reserve(static_cast<std::size_t>(n_trees));
-  for (std::uint64_t t = 0; t < n_trees; ++t) {
-    const std::uint64_t n_nodes = reader.get_u64();
-    std::vector<models::TreeNode> nodes;
-    nodes.reserve(static_cast<std::size_t>(n_nodes));
-    for (std::uint64_t n = 0; n < n_nodes; ++n) {
-      models::TreeNode node;
-      node.is_leaf = reader.get_u8() != 0;
-      node.feature = reader.get_u64();
-      node.threshold = reader.get_f64();
-      node.left = static_cast<std::int32_t>(reader.get_u32());
-      node.right = static_cast<std::int32_t>(reader.get_u32());
-      node.value = reader.get_f64();
-      node.leaf_id = static_cast<std::int32_t>(reader.get_u32());
-      node.gain = reader.get_f64();
-      nodes.push_back(node);
-    }
-    params.trees.push_back(std::move(nodes));
-  }
-  return params;
-}
-
-// The per-tree node vector is allocated per tree on purpose (see above).
 models::GbtParams get_gbt_body(Reader& reader) {
-  if (reader.format_version() < 2) return get_gbt_body_v1(reader);
   models::GbtParams params;
   params.base_score = reader.get_f64();
   params.learning_rate = reader.get_f64();
@@ -298,46 +228,9 @@ void import_or_reject(ImportFn&& import_fn, const char* what) {
   }
 }
 
-}  // namespace
-
-void encode_regressor(Writer& writer, const models::Regressor& model) {
-  if (const auto* linear = dynamic_cast<const models::LinearRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kLinear);
-    put_linear_body(writer, linear->export_params());
-    writer.end_chunk();
-  } else if (const auto* enet =
-                 dynamic_cast<const models::ElasticNetRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kElasticNet);
-    put_elastic_net_body(writer, enet->export_params());
-    writer.end_chunk();
-  } else if (const auto* gbt =
-                 dynamic_cast<const models::GradientBoostedTrees*>(&model)) {
-    writer.begin_chunk(ChunkKind::kGbt);
-    put_gbt_body(writer, gbt->export_params());
-    writer.end_chunk();
-  } else if (const auto* ordered =
-                 dynamic_cast<const models::OrderedBoostedTrees*>(&model)) {
-    writer.begin_chunk(ChunkKind::kOrderedBoost);
-    put_ordered_boost_body(writer, ordered->export_params());
-    writer.end_chunk();
-  } else if (const auto* gp =
-                 dynamic_cast<const models::GaussianProcessRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kGp);
-    put_gp_body(writer, gp->export_params());
-    writer.end_chunk();
-  } else if (const auto* mlp = dynamic_cast<const models::MlpRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kMlp);
-    put_mlp_body(writer, mlp->export_params());
-    writer.end_chunk();
-  } else {
-    throw ArtifactError("unsupported point-regressor type: " + model.name());
-  }
-}
-
-std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
-  Reader::Chunk chunk = reader.next_chunk();
-  Reader& body = chunk.payload;
-  switch (chunk.kind) {
+std::unique_ptr<models::Regressor> decode_point_body(ChunkKind kind,
+                                                     Reader& body) {
+  switch (kind) {
     case ChunkKind::kLinear: {
       models::LinearParams params;
       params.scaler = get_scaler(body);
@@ -346,16 +239,6 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
       auto model = std::make_unique<models::LinearRegressor>();
       import_or_reject([&] { model->import_params(std::move(params)); },
                        "linear payload rejected");
-      return model;
-    }
-    case ChunkKind::kElasticNet: {
-      models::ElasticNetParams params;
-      params.scaler = get_scaler(body);
-      params.label = get_label_scaler(body);
-      params.coef = body.get_vec();
-      auto model = std::make_unique<models::ElasticNetRegressor>();
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "elastic-net payload rejected");
       return model;
     }
     case ChunkKind::kGbt: {
@@ -372,13 +255,6 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
                        "ordered-boost payload rejected");
       return model;
     }
-    case ChunkKind::kGp: {
-      models::GpParams params = get_gp_body(body);
-      auto model = std::make_unique<models::GaussianProcessRegressor>();
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "gp payload rejected");
-      return model;
-    }
     case ChunkKind::kMlp: {
       models::MlpParams params;
       params.scaler = get_scaler(body);
@@ -393,137 +269,104 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
       return model;
     }
     default:
-      throw ArtifactError("unknown point-regressor chunk '" +
-                          chunk_kind_name(chunk.kind) + "'");
+      throw ArtifactError("expected a point-model chunk, found '" +
+                          chunk_kind_name(kind) + "'");
   }
 }
 
-void encode_interval_regressor(Writer& writer,
-                               const models::IntervalRegressor& model) {
-  if (const auto* pair =
-          dynamic_cast<const models::QuantilePairRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kQuantilePair);
-    writer.put_f64(pair->alpha().value());
-    writer.put_str(pair->name());
-    encode_regressor(writer, pair->lower_model());
-    encode_regressor(writer, pair->upper_model());
+}  // namespace
+
+void encode_regressor(Writer& writer, const models::Regressor& model) {
+  if (const auto* linear = dynamic_cast<const models::LinearRegressor*>(&model)) {
+    writer.begin_chunk(ChunkKind::kLinear);
+    put_linear_body(writer, linear->export_params());
     writer.end_chunk();
-  } else if (const auto* gp =
-                 dynamic_cast<const models::GpIntervalRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kGpInterval);
-    writer.put_f64(gp->alpha().value());
-    put_gp_body(writer, gp->export_params());
+  } else if (const auto* gbt =
+                 dynamic_cast<const models::GradientBoostedTrees*>(&model)) {
+    writer.begin_chunk(ChunkKind::kGbt);
+    put_gbt_body(writer, gbt->export_params());
     writer.end_chunk();
-  } else if (const auto* cqr =
-                 dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(
-                     &model)) {
-    const conformal::CqrCalibration calibration = cqr->export_calibration();
-    writer.begin_chunk(ChunkKind::kCqr);
-    writer.put_f64(cqr->alpha().value());
-    writer.put_u8(static_cast<std::uint8_t>(cqr->mode()));
-    writer.put_f64(calibration.q_hat_lo);
-    writer.put_f64(calibration.q_hat_hi);
-    encode_interval_regressor(writer, cqr->base());
+  } else if (const auto* ordered =
+                 dynamic_cast<const models::OrderedBoostedTrees*>(&model)) {
+    writer.begin_chunk(ChunkKind::kOrderedBoost);
+    put_ordered_boost_body(writer, ordered->export_params());
     writer.end_chunk();
-  } else if (const auto* split =
-                 dynamic_cast<const conformal::SplitConformalRegressor*>(
-                     &model)) {
-    const conformal::SplitCalibration calibration = split->export_calibration();
-    writer.begin_chunk(ChunkKind::kSplitCp);
-    writer.put_f64(split->alpha().value());
-    writer.put_f64(calibration.q_hat);
-    encode_regressor(writer, split->model());
-    writer.end_chunk();
-  } else if (const auto* normalized =
-                 dynamic_cast<const conformal::NormalizedConformalRegressor*>(
-                     &model)) {
-    const conformal::NormalizedCalibration calibration =
-        normalized->export_calibration();
-    writer.begin_chunk(ChunkKind::kNormalizedCp);
-    writer.put_f64(normalized->alpha().value());
-    writer.put_f64(calibration.q_hat);
-    writer.put_f64(calibration.sigma_floor);
-    encode_regressor(writer, normalized->mean_model());
-    encode_regressor(writer, normalized->sigma_model());
+  } else if (const auto* mlp = dynamic_cast<const models::MlpRegressor*>(&model)) {
+    writer.begin_chunk(ChunkKind::kMlp);
+    put_mlp_body(writer, mlp->export_params());
     writer.end_chunk();
   } else {
-    throw ArtifactError("unsupported interval-regressor type: " + model.name());
+    throw ArtifactError("unsupported point-regressor type: " + model.name());
   }
 }
 
-std::unique_ptr<models::IntervalRegressor> decode_interval_regressor(
-    Reader& reader) {
+std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
   Reader::Chunk chunk = reader.next_chunk();
-  Reader& body = chunk.payload;
-  switch (chunk.kind) {
-    case ChunkKind::kQuantilePair: {
-      const MiscoverageAlpha level = get_alpha(body);
-      std::string label = body.get_str();
-      auto lower = decode_regressor(body);
-      auto upper = decode_regressor(body);
-      return std::make_unique<models::QuantilePairRegressor>(
-          level, std::move(lower), std::move(upper), std::move(label));
-    }
-    case ChunkKind::kGpInterval: {
-      const MiscoverageAlpha level = get_alpha(body);
-      models::GpParams params = get_gp_body(body);
-      auto model = std::make_unique<models::GpIntervalRegressor>(level);
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "gp-interval payload rejected");
-      return model;
-    }
-    case ChunkKind::kCqr: {
-      const MiscoverageAlpha level = get_alpha(body);
-      const std::uint8_t mode = body.get_u8();
-      if (mode > static_cast<std::uint8_t>(conformal::CqrMode::kAsymmetric)) {
-        throw ArtifactError("bad CQR mode byte " + std::to_string(mode));
-      }
-      conformal::CqrCalibration calibration;
-      calibration.q_hat_lo = body.get_f64();
-      calibration.q_hat_hi = body.get_f64();
-      auto base = decode_interval_regressor(body);
-      conformal::CqrConfig config;
-      config.mode = static_cast<conformal::CqrMode>(mode);
-      std::unique_ptr<conformal::ConformalizedQuantileRegressor> model;
-      // The constructor cross-checks the wrapper's level against the base
-      // model's, so it belongs inside the corrupt-bytes rejection wrapper.
-      import_or_reject(
-          [&] {
-            model = std::make_unique<conformal::ConformalizedQuantileRegressor>(
-                level, std::move(base), config);
-            model->import_calibration(calibration);
-          },
-          "cqr payload rejected");
-      return model;
-    }
-    case ChunkKind::kSplitCp: {
-      const MiscoverageAlpha level = get_alpha(body);
-      conformal::SplitCalibration calibration;
-      calibration.q_hat = body.get_f64();
-      auto point = decode_regressor(body);
-      auto model = std::make_unique<conformal::SplitConformalRegressor>(
-          level, std::move(point));
-      import_or_reject([&] { model->import_calibration(calibration); },
-                       "split-cp calibration rejected");
-      return model;
-    }
-    case ChunkKind::kNormalizedCp: {
-      const MiscoverageAlpha level = get_alpha(body);
-      conformal::NormalizedCalibration calibration;
-      calibration.q_hat = body.get_f64();
-      calibration.sigma_floor = body.get_f64();
-      auto mean = decode_regressor(body);
-      auto sigma = decode_regressor(body);
-      auto model = std::make_unique<conformal::NormalizedConformalRegressor>(
-          level, std::move(mean), std::move(sigma));
-      import_or_reject([&] { model->import_calibration(calibration); },
-                       "normalized-cp calibration rejected");
-      return model;
-    }
-    default:
-      throw ArtifactError("unknown interval-regressor chunk '" +
-                          chunk_kind_name(chunk.kind) + "'");
+  auto model = decode_point_body(chunk.kind, chunk.payload);
+  chunk.payload.expect_end(chunk.kind);
+  return model;
+}
+
+void encode_cqr(Writer& writer,
+                const conformal::ConformalizedQuantileRegressor& model) {
+  const auto* pair =
+      dynamic_cast<const models::QuantilePairRegressor*>(&model.base());
+  if (pair == nullptr) {
+    throw ArtifactError("unsupported CQR base model: " + model.base().name() +
+                        " (a quantile pair is required)");
   }
+  const conformal::CqrCalibration calibration = model.export_calibration();
+  writer.begin_chunk(ChunkKind::kCqr);
+  writer.put_f64(model.alpha().value());
+  writer.put_u8(static_cast<std::uint8_t>(model.mode()));
+  writer.put_f64(calibration.q_hat_lo);
+  writer.put_f64(calibration.q_hat_hi);
+  writer.begin_chunk(ChunkKind::kQuantilePair);
+  writer.put_f64(pair->alpha().value());
+  writer.put_str(pair->name());
+  encode_regressor(writer, pair->lower_model());
+  encode_regressor(writer, pair->upper_model());
+  writer.end_chunk();
+  writer.end_chunk();
+}
+
+std::unique_ptr<conformal::ConformalizedQuantileRegressor> decode_cqr(
+    Reader& reader) {
+  Reader cqr_body = reader.expect_chunk(ChunkKind::kCqr);
+  const MiscoverageAlpha level = get_alpha(cqr_body);
+  const std::uint8_t mode = cqr_body.get_u8();
+  if (mode > static_cast<std::uint8_t>(conformal::CqrMode::kAsymmetric)) {
+    throw ArtifactError("bad CQR mode byte " + std::to_string(mode));
+  }
+  conformal::CqrCalibration calibration;
+  calibration.q_hat_lo = cqr_body.get_f64();
+  calibration.q_hat_hi = cqr_body.get_f64();
+
+  Reader pair_body = cqr_body.expect_chunk(ChunkKind::kQuantilePair);
+  cqr_body.expect_end(ChunkKind::kCqr);
+  const MiscoverageAlpha pair_level = get_alpha(pair_body);
+  std::string label = pair_body.get_str();
+  auto lower = decode_regressor(pair_body);
+  auto upper = decode_regressor(pair_body);
+  pair_body.expect_end(ChunkKind::kQuantilePair);
+
+  conformal::CqrConfig config;
+  config.mode = static_cast<conformal::CqrMode>(mode);
+  std::unique_ptr<conformal::ConformalizedQuantileRegressor> model;
+  // The constructor cross-checks the wrapper's level against the pair's, so
+  // it belongs inside the corrupt-bytes rejection wrapper.
+  import_or_reject(
+      [&] {
+        model = std::make_unique<conformal::ConformalizedQuantileRegressor>(
+            level,
+            std::make_unique<models::QuantilePairRegressor>(
+                pair_level, std::move(lower), std::move(upper),
+                std::move(label)),
+            config);
+        model->import_calibration(calibration);
+      },
+      "cqr payload rejected");
+  return model;
 }
 
 }  // namespace vmincqr::artifact

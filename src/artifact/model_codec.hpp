@@ -1,45 +1,48 @@
-// Chunk encoders/decoders for every fitted predictor the pipeline can
-// produce. The chunk tag doubles as the runtime type discriminator, so a
-// decoded artifact reconstructs the exact concrete type that was saved:
+// Chunk encoders/decoders for the one predictor a bundle ships: split CQR
+// over a quantile-regression pair, as core::fit_screen fits it.
 //
-//   point models    LINR ENET GBTR OBST GPRG MLPR
-//   interval models QPAR GPIV CQRC SCPC NCPC
+//   PRED  := CQRC(QPAR(point, point))
+//   point := LINR | GBTR | OBST | MLPR
 //
-// Composite predictors (quantile pairs, conformal wrappers) nest their
-// children as chunks inside their own payload. Decoded models carry only
-// predict-path state (via each model's XxxParams import); they are serve-only
-// objects — refitting one uses default hyperparameters.
+// A point chunk's tag doubles as its model's runtime type discriminator, so a
+// decoded pair reconstructs the exact concrete models that were saved. The
+// decode is straight-line — CQRC, then QPAR, then two point chunks — so its
+// depth is three whatever the bytes say: any other tag in one of those slots
+// (a bare QPAR, a nested CQRC) and any bytes left over in a payload are an
+// ArtifactError. Decoded models carry only predict-path state (via each
+// model's XxxParams import); they are serve-only objects — refitting one uses
+// default hyperparameters.
 #pragma once
 
 #include <memory>
 
 #include "artifact/codec.hpp"
-#include "models/interval.hpp"
+#include "conformal/cqr.hpp"
 #include "models/regressor.hpp"
 
 namespace vmincqr::artifact {
 
-/// Writes one chunk holding the fitted state of a point regressor.
+/// Writes one point chunk holding the fitted state of a point regressor.
 /// Throws ArtifactError for a concrete type the format cannot represent and
 /// std::logic_error if the model is unfitted.
 void encode_regressor(Writer& writer, const models::Regressor& model);
 
-/// Reads one point-regressor chunk and reconstructs the concrete model.
-/// Throws ArtifactError on an unknown chunk tag or malformed payload.
+/// Reads one point chunk and reconstructs the concrete model. Throws
+/// ArtifactError on any other chunk tag or a malformed payload.
 [[nodiscard]] std::unique_ptr<models::Regressor> decode_regressor(
     Reader& reader);
 
-/// Writes one chunk holding the fitted state of an interval regressor
-/// (including its calibration, for conformal wrappers).
-/// Throws ArtifactError for an unrepresentable type; std::logic_error if the
-/// model is unfitted or uncalibrated.
-void encode_interval_regressor(Writer& writer,
-                               const models::IntervalRegressor& model);
+/// Writes CQRC(QPAR(point, point)): the calibration, the quantile pair and
+/// its two point models. Throws ArtifactError when the base model is not a
+/// QuantilePairRegressor over encodable point models; std::logic_error if
+/// a model is unfitted or the wrapper uncalibrated.
+void encode_cqr(Writer& writer,
+                const conformal::ConformalizedQuantileRegressor& model);
 
-/// Reads one interval-regressor chunk and reconstructs the concrete model,
-/// ready to serve predict_interval(). Throws ArtifactError on an unknown
-/// chunk tag or malformed payload.
-[[nodiscard]] std::unique_ptr<models::IntervalRegressor>
-decode_interval_regressor(Reader& reader);
+/// Reads one CQRC(QPAR(point, point)) chunk and reconstructs the calibrated
+/// predictor, ready to serve predict_interval(). Throws ArtifactError on any
+/// other shape or a malformed payload.
+[[nodiscard]] std::unique_ptr<conformal::ConformalizedQuantileRegressor>
+decode_cqr(Reader& reader);
 
 }  // namespace vmincqr::artifact

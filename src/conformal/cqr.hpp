@@ -2,7 +2,8 @@
 // the paper's method, Sec. III-C.
 //
 // Wraps ANY IntervalRegressor (normally the QuantilePairRegressor of
-// Sec. II-B.2, but conformalizing a GP band also works): the base interval
+// Sec. II-B.2, but conformalizing a GP band also works in-process; only the
+// quantile-pair form serializes to an artifact): the base interval
 // model is fitted on the proper-training part, the CQR score of Eq. (9) is
 // evaluated on the calibration part, and Eq. (10) shifts both bounds by the
 // calibrated quantile q_hat. Because the score is signed, q_hat can be

@@ -106,22 +106,4 @@ double NormalizedConformalRegressor::q_hat() const {
   return q_hat_;
 }
 
-NormalizedCalibration NormalizedConformalRegressor::export_calibration() const {
-  if (!calibrated_) {
-    throw std::logic_error("NormalizedConformalRegressor: not calibrated");
-  }
-  return {q_hat_, config_.sigma_floor};
-}
-
-void NormalizedConformalRegressor::import_calibration(
-    NormalizedCalibration calibration) {
-  if (std::isnan(calibration.q_hat) || !(calibration.sigma_floor >= 0.0)) {
-    throw std::invalid_argument(
-        "NormalizedConformalRegressor::import_calibration: bad calibration");
-  }
-  q_hat_ = calibration.q_hat;
-  config_.sigma_floor = calibration.sigma_floor;
-  calibrated_ = true;
-}
-
 }  // namespace vmincqr::conformal

@@ -102,20 +102,4 @@ double SplitConformalRegressor::q_hat() const {
   return q_hat_;
 }
 
-SplitCalibration SplitConformalRegressor::export_calibration() const {
-  if (!calibrated_) {
-    throw std::logic_error("SplitConformalRegressor: not calibrated");
-  }
-  return {q_hat_};
-}
-
-void SplitConformalRegressor::import_calibration(SplitCalibration calibration) {
-  if (std::isnan(calibration.q_hat)) {
-    throw std::invalid_argument(
-        "SplitConformalRegressor::import_calibration: NaN q_hat");
-  }
-  q_hat_ = calibration.q_hat;
-  calibrated_ = true;
-}
-
 }  // namespace vmincqr::conformal

@@ -129,7 +129,6 @@ std::vector<IntervalPrediction> VminPredictor::predict_batch(
 PredictorInfo VminPredictor::info() const {
   PredictorInfo info;
   info.label = bundle_.label;
-  info.format_version = bundle_.format_version;
   info.miscoverage = bundle_.predictor->alpha().value();
   info.scenario = bundle_.scenario;
   info.n_dataset_columns = bundle_.dataset_columns.size();

@@ -30,7 +30,7 @@ struct IntervalPrediction {
 /// Decoded-bundle metadata, for logs and sanity checks at the tester.
 struct PredictorInfo {
   std::string label;
-  std::uint32_t format_version = 0;
+  std::uint32_t format_version = artifact::kFormatVersion;  ///< the one decodable
   double miscoverage = 0.0;  ///< target alpha; nominal coverage is 1 - this
   artifact::ScenarioSpec scenario;
   std::size_t n_dataset_columns = 0;

@@ -14,10 +14,7 @@
 #include "artifact/codec.hpp"
 #include "artifact/model_codec.hpp"
 #include "conformal/cqr.hpp"
-#include "conformal/normalized.hpp"
-#include "conformal/split_cp.hpp"
 #include "core/pipeline.hpp"
-#include "models/elastic_net.hpp"
 #include "models/factory.hpp"
 #include "models/gbt.hpp"
 #include "models/linear.hpp"
@@ -59,13 +56,13 @@ std::unique_ptr<models::Regressor> roundtrip_point(
   return decoded;
 }
 
-std::unique_ptr<models::IntervalRegressor> roundtrip_interval(
-    const models::IntervalRegressor& model) {
+std::unique_ptr<conformal::ConformalizedQuantileRegressor> roundtrip_cqr(
+    const conformal::ConformalizedQuantileRegressor& model) {
   artifact::Writer writer;
-  artifact::encode_interval_regressor(writer, model);
+  artifact::encode_cqr(writer, model);
   const auto bytes = writer.finish();
   artifact::Reader reader = artifact::Reader::open(bytes);
-  auto decoded = artifact::decode_interval_regressor(reader);
+  auto decoded = artifact::decode_cqr(reader);
   EXPECT_TRUE(reader.at_end());
   return decoded;
 }
@@ -78,7 +75,7 @@ void expect_bitexact(const linalg::Vector& a, const linalg::Vector& b) {
   }
 }
 
-/// Recomputes the trailing CSUM seal of a v3 artifact after the test has
+/// Recomputes the trailing CSUM seal of an artifact after the test has
 /// deliberately corrupted payload bytes — so the corruption reaches the
 /// parser it targets instead of being caught by the checksum gate.
 void reseal(std::vector<std::uint8_t>& bytes) {
@@ -143,10 +140,16 @@ TEST(ArtifactCodec, OpenRejectsBadMagic) {
 }
 
 TEST(ArtifactCodec, OpenRejectsFutureFormatVersion) {
-  artifact::Writer writer;
-  auto bytes = writer.finish();
-  bytes[4] = 99;  // format version field, little-endian
-  EXPECT_THROW((void)artifact::Reader::open(bytes), artifact::ArtifactError);
+  // Every version but kFormatVersion is rejected, the unsealed 1 and 2 as
+  // much as future ones. Reseal, so the version check is what fires.
+  for (const std::uint8_t version : {0, 1, 2, 4, 99}) {
+    artifact::Writer writer;
+    auto bytes = writer.finish();
+    bytes[4] = version;  // format version field, little-endian
+    reseal(bytes);
+    EXPECT_THROW((void)artifact::Reader::open(bytes), artifact::ArtifactError)
+        << "version " << static_cast<unsigned>(version);
+  }
 }
 
 TEST(ArtifactCodec, OpenRejectsTruncatedHeader) {
@@ -167,19 +170,6 @@ TEST(ArtifactCodec, ReaderRejectsCorruptEmbeddedLength) {
   artifact::Reader reader = artifact::Reader::open(bytes);
   artifact::Reader body = reader.expect_chunk(artifact::ChunkKind::kColumns);
   EXPECT_THROW((void)body.get_vec(), artifact::ArtifactError);
-}
-
-TEST(ArtifactCodec, ChunkTreeJsonShowsNesting) {
-  artifact::Writer writer;
-  writer.begin_chunk(artifact::ChunkKind::kPredictor);
-  writer.begin_chunk(artifact::ChunkKind::kLinear);
-  writer.put_f64(1.0);
-  writer.end_chunk();
-  writer.end_chunk();
-  const std::string json = artifact::chunk_tree_json(writer.finish());
-  EXPECT_NE(json.find("\"PRED\""), std::string::npos);
-  EXPECT_NE(json.find("\"LINR\""), std::string::npos);
-  EXPECT_NE(json.find("\"children\""), std::string::npos);
 }
 
 // --- per-model round-trips --------------------------------------------------
@@ -215,50 +205,15 @@ std::string kind_suffix(models::ModelKind kind) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PointModelRoundTrip,
-                         ::testing::ValuesIn(models::point_model_zoo()),
+                         ::testing::ValuesIn(models::quantile_model_zoo()),
                          [](const auto& param_info) {
                            return kind_suffix(param_info.param);
                          });
-
-TEST(ArtifactModels, ElasticNetRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  models::ElasticNetRegressor model;
-  model.fit(train.x, train.y);
-  const auto decoded = roundtrip_point(model);
-  expect_bitexact(model.predict(fresh.x), decoded->predict(fresh.x));
-}
 
 TEST(ArtifactModels, UnfittedModelRefusesToEncode) {
   models::LinearRegressor unfitted;
   artifact::Writer writer;
   EXPECT_THROW(artifact::encode_regressor(writer, unfitted), std::logic_error);
-}
-
-TEST(ArtifactModels, QuantilePairRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  auto pair = models::make_quantile_pair(models::ModelKind::kLinear,
-                                         core::MiscoverageAlpha{0.1});
-  pair->fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(*pair);
-  const auto a = pair->predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
-  EXPECT_EQ(decoded->name(), pair->name());
-}
-
-TEST(ArtifactModels, GpIntervalRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  models::GpIntervalRegressor gp(core::MiscoverageAlpha{0.1});
-  gp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(gp);
-  const auto a = gp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
 }
 
 class CqrRoundTrip : public ::testing::TestWithParam<conformal::CqrMode> {};
@@ -274,18 +229,15 @@ TEST_P(CqrRoundTrip, CalibrationSurvivesSaveLoad) {
                                  core::MiscoverageAlpha{0.1}),
       config);
   cqr.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(cqr);
+  const auto decoded = roundtrip_cqr(cqr);
   const auto a = cqr.predict_interval(fresh.x);
   const auto b = decoded->predict_interval(fresh.x);
   expect_bitexact(a.lower, b.lower);
   expect_bitexact(a.upper, b.upper);
-  const auto* decoded_cqr =
-      dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(
-          decoded.get());
-  ASSERT_NE(decoded_cqr, nullptr);
-  EXPECT_EQ(decoded_cqr->mode(), GetParam());
-  EXPECT_EQ(decoded_cqr->q_hat_lower(), cqr.q_hat_lower());
-  EXPECT_EQ(decoded_cqr->q_hat_upper(), cqr.q_hat_upper());
+  EXPECT_EQ(decoded->mode(), GetParam());
+  EXPECT_EQ(decoded->q_hat_lower(), cqr.q_hat_lower());
+  EXPECT_EQ(decoded->q_hat_upper(), cqr.q_hat_upper());
+  EXPECT_EQ(decoded->base().name(), cqr.base().name());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, CqrRoundTrip,
@@ -298,35 +250,6 @@ INSTANTIATE_TEST_SUITE_P(BothModes, CqrRoundTrip,
                                       : std::string("Asymmetric");
                          });
 
-TEST(ArtifactModels, SplitCpRoundTripBitExact) {
-  const Problem train = make_problem(80, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  conformal::SplitConformalRegressor cp(
-      core::MiscoverageAlpha{0.1},
-      models::make_point_regressor(models::ModelKind::kLinear));
-  cp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(cp);
-  const auto a = cp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
-}
-
-TEST(ArtifactModels, NormalizedCpRoundTripBitExact) {
-  const Problem train = make_problem(80, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  conformal::NormalizedConformalRegressor ncp(
-      core::MiscoverageAlpha{0.1},
-      models::make_point_regressor(models::ModelKind::kLinear),
-      models::make_point_regressor(models::ModelKind::kLinear));
-  ncp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(ncp);
-  const auto a = ncp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
-}
-
 TEST(ArtifactModels, DecodeRejectsBadCqrModeByte) {
   conformal::ConformalizedQuantileRegressor cqr(
       core::MiscoverageAlpha{0.1},
@@ -335,15 +258,14 @@ TEST(ArtifactModels, DecodeRejectsBadCqrModeByte) {
   const Problem train = make_problem(80, 6);
   cqr.fit(train.x, train.y);
   artifact::Writer writer;
-  artifact::encode_interval_regressor(writer, cqr);
+  artifact::encode_cqr(writer, cqr);
   auto bytes = writer.finish();
   // CQRC payload layout: alpha f64, then the mode byte at offset 8. Reseal
   // so the decoder's own mode validation fires, not the checksum gate.
   bytes[8 + 12 + 8] = 7;
   reseal(bytes);
   artifact::Reader reader = artifact::Reader::open(bytes);
-  EXPECT_THROW((void)artifact::decode_interval_regressor(reader),
-               artifact::ArtifactError);
+  EXPECT_THROW((void)artifact::decode_cqr(reader), artifact::ArtifactError);
 }
 
 // --- bundle round-trips -----------------------------------------------------
@@ -365,7 +287,6 @@ TEST(ArtifactBundle, EncodeDecodeRoundTrip) {
   const auto bundle = fitted_bundle();
   const auto bytes = artifact::encode_bundle(bundle);
   const auto decoded = artifact::decode_bundle(bytes);
-  EXPECT_EQ(decoded.format_version, artifact::kFormatVersion);
   EXPECT_EQ(decoded.label, bundle.label);
   EXPECT_EQ(decoded.scenario.read_point_hours, 48.0);
   EXPECT_EQ(decoded.scenario.temperature_c, 25.0);
@@ -503,101 +424,6 @@ TEST(ArtifactGolden, CheckedInFixtureDecodesToExpectedPredictions) {
   }
 }
 
-TEST(ArtifactGolden, V1FixtureStillDecodesToExpectedPredictions) {
-  // The pre-SoA (format version 1) fixture must keep decoding through the
-  // legacy path: Reader::open accepts [1, kFormatVersion] and the decoders
-  // branch on format_version(). Same frozen forward pass as the current
-  // fixture.
-  const auto bytes =
-      read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
-                "/golden_cqr_linear_v1.vqa");
-  const auto bundle = artifact::decode_bundle(bytes);
-  EXPECT_EQ(bundle.format_version, 1u);
-  EXPECT_EQ(bundle.label, "golden CQR linear");
-
-  const linalg::Matrix x{{0.0, 1.0, 2.0, 3.0},
-                         {1.0, -1.0, 0.5, -0.5},
-                         {-2.0, 0.25, 4.0, 8.0}};
-  const auto band =
-      bundle.predictor->predict_interval(x.take_cols(bundle.selected_features));
-  const double expected[3][2] = {
-      {0.44374999999999998, 0.52500000000000002},
-      {0.45156249999999998, 0.53281250000000002},
-      {0.42695312499999999, 0.50820312499999998},
-  };
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(band.lower[i], expected[i][0]) << "row " << i;
-    EXPECT_EQ(band.upper[i], expected[i][1]) << "row " << i;
-  }
-}
-
-TEST(ArtifactGolden, V2FixtureStillDecodesToExpectedPredictions) {
-  // The pre-checksum (format version 2) fixture: no trailing CSUM chunk, so
-  // Reader::open must not demand one, and the decode must match the same
-  // frozen forward pass.
-  const auto bytes =
-      read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
-                "/golden_cqr_linear_v2.vqa");
-  const auto bundle = artifact::decode_bundle(bytes);
-  EXPECT_EQ(bundle.format_version, 2u);
-  EXPECT_EQ(bundle.label, "golden CQR linear");
-
-  const linalg::Matrix x{{0.0, 1.0, 2.0, 3.0},
-                         {1.0, -1.0, 0.5, -0.5},
-                         {-2.0, 0.25, 4.0, 8.0}};
-  const auto band =
-      bundle.predictor->predict_interval(x.take_cols(bundle.selected_features));
-  const double expected[3][2] = {
-      {0.44374999999999998, 0.52500000000000002},
-      {0.45156249999999998, 0.53281250000000002},
-      {0.42695312499999999, 0.50820312499999998},
-  };
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(band.lower[i], expected[i][0]) << "row " << i;
-    EXPECT_EQ(band.upper[i], expected[i][1]) << "row " << i;
-  }
-}
-
-TEST(ArtifactModels, GbtV1InterleavedRecordsDecode) {
-  // Hand-encode a fitted GBT with the v1 interleaved per-node record layout,
-  // stamp the header as version 1, and check the legacy decoder reproduces
-  // the live model bit for bit.
-  const Problem p = make_problem(80, 4);
-  models::GbtConfig config;
-  config.n_rounds = 5;
-  models::GradientBoostedTrees model(config);
-  model.fit(p.x, p.y);
-  const models::GbtParams params = model.export_params();
-
-  artifact::Writer writer;
-  writer.begin_chunk(artifact::ChunkKind::kGbt);
-  writer.put_f64(params.base_score);
-  writer.put_f64(params.learning_rate);
-  writer.put_u64(params.n_features);
-  writer.put_u64(params.trees.size());
-  for (const auto& nodes : params.trees) {
-    writer.put_u64(nodes.size());
-    for (const models::TreeNode& node : nodes) {
-      writer.put_u8(node.is_leaf ? 1 : 0);
-      writer.put_u64(node.feature);
-      writer.put_f64(node.threshold);
-      writer.put_u32(static_cast<std::uint32_t>(node.left));
-      writer.put_u32(static_cast<std::uint32_t>(node.right));
-      writer.put_f64(node.value);
-      writer.put_u32(static_cast<std::uint32_t>(node.leaf_id));
-      writer.put_f64(node.gain);
-    }
-  }
-  writer.end_chunk();
-  auto bytes = writer.finish();
-  bytes[4] = 1;  // rewrite the header: declare format version 1
-
-  artifact::Reader reader = artifact::Reader::open(bytes);
-  EXPECT_EQ(reader.format_version(), 1u);
-  const auto decoded = artifact::decode_regressor(reader);
-  EXPECT_EQ(decoded->predict(p.x), model.predict(p.x));
-}
-
 TEST(ArtifactGolden, FormatIsByteStableAgainstFixture) {
   // Re-encoding the hand-specified golden bundle must reproduce the
   // checked-in file byte for byte: any codec change that alters the wire
@@ -608,13 +434,103 @@ TEST(ArtifactGolden, FormatIsByteStableAgainstFixture) {
   EXPECT_EQ(artifact::encode_bundle(golden_bundle()), fixture);
 }
 
+// --- PRED grammar -----------------------------------------------------------
+
+/// Seals META + COLS + PRED with the real Writer; `put_pred` writes the PRED
+/// payload, so every shape below carries a valid CRC seal.
+template <typename PutPred>
+std::vector<std::uint8_t> sealed_bundle(PutPred&& put_pred) {
+  artifact::Writer writer;
+  writer.begin_chunk(artifact::ChunkKind::kMeta);
+  writer.put_f64(48.0);
+  writer.put_f64(25.0);
+  writer.put_u8(2);
+  writer.put_f64(-1.0);
+  writer.put_str("PRED shape");
+  writer.end_chunk();
+  writer.begin_chunk(artifact::ChunkKind::kColumns);
+  writer.put_index_vec({0, 1, 2, 3});
+  writer.put_index_vec({1, 3});
+  writer.end_chunk();
+  writer.begin_chunk(artifact::ChunkKind::kPredictor);
+  std::forward<PutPred>(put_pred)(writer);
+  writer.end_chunk();
+  return writer.finish();
+}
+
+/// QPAR over the golden fixture's two linear models.
+void put_pair(artifact::Writer& writer) {
+  writer.begin_chunk(artifact::ChunkKind::kQuantilePair);
+  writer.put_f64(0.2);
+  writer.put_str("QR Linear Regression");
+  artifact::encode_regressor(writer, *golden_linear(-0.5));
+  artifact::encode_regressor(writer, *golden_linear(0.5));
+  writer.end_chunk();
+}
+
+/// Opens a CQRC chunk and writes its calibration; the caller closes it.
+void open_cqr(artifact::Writer& writer) {
+  writer.begin_chunk(artifact::ChunkKind::kCqr);
+  writer.put_f64(0.2);
+  writer.put_u8(static_cast<std::uint8_t>(conformal::CqrMode::kSymmetric));
+  writer.put_f64(0.015625);
+  writer.put_f64(0.015625);
+}
+
+TEST(ArtifactBundle, PredHoldsOnlyCqrOverAQuantilePair) {
+  // Control: the shipped shape decodes, so the rejections below are about
+  // the shape, not the framing.
+  EXPECT_NO_THROW((void)artifact::decode_bundle(sealed_bundle([](auto& w) {
+    open_cqr(w);
+    put_pair(w);
+    w.end_chunk();
+  })));
+
+  // 30,000 nested CQRC chunks (~1.1 MB): deep enough to overflow the stack
+  // of a decoder that recurses once per chunk.
+  constexpr int kDeep = 30000;
+  const std::pair<const char*, std::vector<std::uint8_t>> shapes[] = {
+      {"bare QPAR", sealed_bundle(put_pair)},
+      {"CQRC(CQRC(QPAR))", sealed_bundle([](auto& w) {
+         open_cqr(w);
+         open_cqr(w);
+         put_pair(w);
+         w.end_chunk();
+         w.end_chunk();
+       })},
+      {"30,000-deep CQRC", sealed_bundle([](auto& w) {
+         for (int i = 0; i < kDeep; ++i) open_cqr(w);
+         put_pair(w);
+         for (int i = 0; i < kDeep; ++i) w.end_chunk();
+       })},
+      {"CQRC(QPAR) then a second QPAR", sealed_bundle([](auto& w) {
+         open_cqr(w);
+         put_pair(w);
+         w.end_chunk();
+         put_pair(w);
+       })},
+  };
+  for (const auto& [shape, bytes] : shapes) {
+    EXPECT_THROW((void)artifact::decode_bundle(bytes), artifact::ArtifactError)
+        << shape;
+  }
+
+  // The encoder refuses the bare pair too: it never writes what the decoder
+  // rejects.
+  artifact::VminBundle bundle = golden_bundle();
+  bundle.predictor = std::make_unique<models::QuantilePairRegressor>(
+      core::MiscoverageAlpha{0.2}, golden_linear(-0.5), golden_linear(0.5),
+      "QR Linear Regression");
+  EXPECT_THROW((void)artifact::encode_bundle(bundle), artifact::ArtifactError);
+}
+
 // --- corruption fuzzing -----------------------------------------------------
 //
-// The v3 CRC-32 seal is what makes this battery provable: a CRC-32 detects
+// The CRC-32 seal is what makes this battery provable: a CRC-32 detects
 // every burst error up to 32 bits, so ANY single corrupted byte — header,
 // chunk framing, or payload (e.g. a damaged IEEE-754 coefficient that would
-// otherwise parse silently) — must surface as ArtifactError. Before v3 a
-// payload flip could decode into a plausible-but-wrong predictor.
+// otherwise parse silently) — must surface as ArtifactError. Without the seal
+// a payload flip could decode into a plausible-but-wrong predictor.
 
 TEST(ArtifactFuzz, EveryByteInversionIsRejected) {
   // Exhaustive single-byte sweep over the golden fixture: inverting any one
@@ -656,9 +572,8 @@ TEST(ArtifactFuzz, SeededSingleBitFlipsAreRejected) {
 
 TEST(ArtifactFuzz, VersionByteFlipsCannotSkipVerification) {
   // Flipping the version field is the one corruption that could disable the
-  // checksum gate itself. Every reachable value must still reject: 0 and
-  // >kFormatVersion fail open(); 1 and 2 parse without the gate but then
-  // trip over the CSUM chunk, which is unknown to pre-v3 decoders.
+  // checksum gate itself, were any unsealed version still accepted. Every
+  // reachable value must reject: open() accepts kFormatVersion alone.
   const auto fixture =
       read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
                 "/golden_cqr_linear.vqa");
@@ -675,7 +590,7 @@ TEST(ArtifactFuzz, VersionByteFlipsCannotSkipVerification) {
 
 TEST(ArtifactFuzz, TruncatedSealRejected) {
   // Cutting anywhere inside the trailing CSUM chunk (or removing it
-  // entirely) must fail the "v3 artifact missing trailing CSUM" gate.
+  // entirely) must fail the "artifact missing trailing CSUM" gate.
   const auto fixture =
       read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
                 "/golden_cqr_linear.vqa");

@@ -1,11 +1,10 @@
-// Tests for the conformal extensions: Mondrian (group-conditional) CQR,
-// normalized (locally-weighted) CP, and CV+ (cross-conformal).
+// Tests for the conformal extensions: normalized (locally-weighted) CP and
+// CV+ (cross-conformal).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "conformal/cv_plus.hpp"
-#include "conformal/mondrian.hpp"
 #include "conformal/normalized.hpp"
 #include "models/factory.hpp"
 #include "rng/rng.hpp"
@@ -32,72 +31,6 @@ Problem make_grouped(std::size_t n, std::uint64_t seed) {
     p.y[i] = p.x(i, 1) + rng.normal(0.0, sd);
   }
   return p;
-}
-
-int group_of(const double* row, std::size_t) { return row[0] > 0.0 ? 1 : 0; }
-
-TEST(Mondrian, PerGroupAdjustmentsDiffer) {
-  const auto p = make_grouped(600, 1);
-  MondrianCqr mondrian(core::MiscoverageAlpha{0.1},
-                       models::make_quantile_pair(ModelKind::kLinear, core::MiscoverageAlpha{0.1}),
-                       group_of);
-  mondrian.fit(p.x, p.y);
-  ASSERT_EQ(mondrian.group_q_hat().size(), 2u);
-  // The noisy group needs a larger widening than the quiet one.
-  EXPECT_GT(mondrian.group_q_hat().at(1), mondrian.group_q_hat().at(0));
-}
-
-TEST(Mondrian, GroupConditionalCoverage) {
-  double cov_quiet = 0.0, cov_noisy = 0.0;
-  const int n_trials = 8;
-  for (int t = 0; t < n_trials; ++t) {
-    const auto train = make_grouped(600, 10 + static_cast<std::uint64_t>(t));
-    const auto test = make_grouped(600, 200 + static_cast<std::uint64_t>(t));
-    MondrianConfig config;
-    config.split.seed = static_cast<std::uint64_t>(t);
-    MondrianCqr mondrian(core::MiscoverageAlpha{0.1},
-                         models::make_quantile_pair(ModelKind::kLinear, core::MiscoverageAlpha{0.1}),
-                         group_of, config);
-    mondrian.fit(train.x, train.y);
-    const auto band = mondrian.predict_interval(test.x);
-    double hit_q = 0, n_q = 0, hit_n = 0, n_n = 0;
-    for (std::size_t i = 0; i < test.y.size(); ++i) {
-      const bool hit =
-          test.y[i] >= band.lower[i] && test.y[i] <= band.upper[i];
-      if (test.x(i, 0) > 0.0) {
-        hit_n += hit;
-        ++n_n;
-      } else {
-        hit_q += hit;
-        ++n_q;
-      }
-    }
-    cov_quiet += hit_q / n_q;
-    cov_noisy += hit_n / n_n;
-  }
-  EXPECT_GE(cov_quiet / n_trials, 0.86);
-  EXPECT_GE(cov_noisy / n_trials, 0.86);
-}
-
-TEST(Mondrian, SmallGroupsFallBackToPooled) {
-  const auto p = make_grouped(60, 3);
-  MondrianConfig config;
-  config.min_group_size = 1000;  // force fallback for every group
-  MondrianCqr mondrian(core::MiscoverageAlpha{0.1},
-                       models::make_quantile_pair(ModelKind::kLinear, core::MiscoverageAlpha{0.1}),
-                       group_of, config);
-  mondrian.fit(p.x, p.y);
-  for (const auto& [g, q] : mondrian.group_q_hat()) {
-    EXPECT_DOUBLE_EQ(q, mondrian.pooled_q_hat());
-  }
-}
-
-TEST(Mondrian, Validation) {
-  EXPECT_THROW(MondrianCqr(core::MiscoverageAlpha{0.1}, nullptr, group_of), std::invalid_argument);
-  EXPECT_THROW(MondrianCqr(core::MiscoverageAlpha{0.1},
-                           models::make_quantile_pair(ModelKind::kLinear, core::MiscoverageAlpha{0.1}),
-                           nullptr),
-               std::invalid_argument);
 }
 
 TEST(NormalizedCp, WidthsAdaptToDifficulty) {

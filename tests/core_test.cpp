@@ -5,6 +5,7 @@
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "core/scenario.hpp"
 #include "silicon/dataset_gen.hpp"
 
 namespace vmincqr::core {
@@ -140,6 +141,41 @@ TEST(Report, FormatDouble) {
   EXPECT_EQ(format_double(12.3456, 2), "12.35");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
   EXPECT_EQ(format_double(3.0, 0), "3");
+}
+
+TEST(ForecastScenario, HorizonRestrictsMonitorHistory) {
+  silicon::GeneratorConfig config;
+  config.n_chips = 20;
+  config.parametric.features_per_temperature = 10;
+  config.monitors.n_rod = 4;
+  config.monitors.n_cpd = 1;
+  const auto generated = silicon::generate_dataset(config);
+
+  // Label at 1008 h, monitors only up to 168 h.
+  core::Scenario forecast{1008.0, 25.0, core::FeatureSet::kBoth, 168.0};
+  const auto cols =
+      core::scenario_feature_columns(generated.dataset, forecast);
+  for (auto c : cols) {
+    EXPECT_LE(generated.dataset.feature_info(c).read_point_hours, 168.0);
+  }
+  // Default horizon = the label read point: strictly more columns.
+  core::Scenario nowcast{1008.0, 25.0, core::FeatureSet::kBoth};
+  EXPECT_GT(core::scenario_feature_columns(generated.dataset, nowcast).size(),
+            cols.size());
+  EXPECT_NE(core::describe(forecast).find("monitors<=168h"),
+            std::string::npos);
+}
+
+TEST(ForecastScenario, LabelsStillComeFromTheTargetReadPoint) {
+  silicon::GeneratorConfig config;
+  config.n_chips = 12;
+  config.parametric.features_per_temperature = 5;
+  config.monitors.n_rod = 2;
+  config.monitors.n_cpd = 1;
+  const auto generated = silicon::generate_dataset(config);
+  core::Scenario forecast{504.0, 125.0, core::FeatureSet::kBoth, 24.0};
+  EXPECT_EQ(core::scenario_labels(generated.dataset, forecast),
+            generated.dataset.label(504.0, 125.0).values);
 }
 
 }  // namespace

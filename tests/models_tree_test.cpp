@@ -330,5 +330,50 @@ TEST(OrderedBoost, ValidatesConfig) {
   EXPECT_THROW(OrderedBoostedTrees{bad2}, std::invalid_argument);
 }
 
+TEST(FeatureImportance, GbtFindsTheSignalFeature) {
+  rng::Rng rng(7);
+  const std::size_t n = 300;
+  linalg::Matrix x(n, 5);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 5; ++c) x(i, c) = rng.normal();
+    y[i] = (x(i, 2) > 0.0 ? 1.0 : -1.0) + 0.1 * rng.normal();
+  }
+  models::GradientBoostedTrees gbt;
+  gbt.fit(x, y);
+  const auto importance = gbt.feature_importance();
+  ASSERT_EQ(importance.size(), 5u);
+  double total = 0.0;
+  for (double v : importance) total += v;
+  EXPECT_NEAR(total, 1.0, 1e-9);
+  for (std::size_t c = 0; c < 5; ++c) {
+    if (c != 2) {
+      EXPECT_GT(importance[2], importance[c]);
+    }
+  }
+}
+
+TEST(FeatureImportance, OrderedBoostFindsTheSignalFeature) {
+  rng::Rng rng(8);
+  const std::size_t n = 300;
+  linalg::Matrix x(n, 4);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 4; ++c) x(i, c) = rng.normal();
+    y[i] = 2.0 * x(i, 1) + 0.1 * rng.normal();
+  }
+  models::OrderedBoostedTrees cb;
+  cb.fit(x, y);
+  const auto importance = cb.feature_importance();
+  ASSERT_EQ(importance.size(), 4u);
+  for (std::size_t c = 0; c < 4; ++c) {
+    if (c != 1) {
+      EXPECT_GT(importance[1], importance[c]);
+    }
+  }
+  models::OrderedBoostedTrees unfitted;
+  EXPECT_THROW(unfitted.feature_importance(), std::logic_error);
+}
+
 }  // namespace
 }  // namespace vmincqr::models
